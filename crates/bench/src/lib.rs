@@ -274,7 +274,7 @@ pub fn query_time(structure: Structure, forest: &Forest, q: usize, paths: bool, 
 // Dynamic-connectivity stream harness
 // ------------------------------------------------------------------
 
-use dyntree_connectivity::{DynConnectivity, SpanningBackend};
+use dyntree_connectivity::{DynConnectivity, OpOf, SpanningBackend};
 use dyntree_workloads::{EdgeStream, StreamOp};
 
 /// The two canonical edge streams of the connectivity benchmarks — the
@@ -331,13 +331,13 @@ fn replay<B: SpanningBackend>(stream: &EdgeStream) -> (f64, u64) {
     for op in &stream.ops {
         match *op {
             StreamOp::Insert(u, v) => {
-                engine.insert_edge(u, v);
+                let _ = engine.try_insert_edge(u, v);
             }
             StreamOp::Delete(u, v) => {
-                engine.delete_edge(u, v);
+                let _ = engine.try_delete_edge(u, v);
             }
             StreamOp::Query(a, b) => {
-                checksum = checksum.wrapping_add(engine.connected(a, b) as u64)
+                checksum = checksum.wrapping_add(u64::from(engine.try_connected(a, b) == Ok(true)))
             }
         }
     }
@@ -350,54 +350,32 @@ fn replay<B: SpanningBackend>(stream: &EdgeStream) -> (f64, u64) {
 
 fn replay_batched<B: SpanningBackend>(stream: &EdgeStream, batch: usize) -> (f64, u64) {
     let mut engine: DynConnectivity<B> = DynConnectivity::new(stream.n);
-    // Batch *runs* of same-kind operations so the replay is semantically
-    // identical to the sequential one (an insert/delete of the same edge
-    // must not be reordered across a flush boundary).
-    let mut pending: Vec<(usize, usize)> = Vec::with_capacity(batch);
-    let mut pending_kind: Option<bool> = None; // Some(true) = inserts
+    // `apply` keeps submission order (it splits a batch into same-kind runs
+    // itself), so the replay is semantically identical to the sequential one.
+    let mut pending: Vec<OpOf<B>> = Vec::with_capacity(batch);
+    let flush = |engine: &mut DynConnectivity<B>, pending: &mut Vec<OpOf<B>>| {
+        if !pending.is_empty() {
+            engine.apply(pending);
+            pending.clear();
+        }
+    };
     let mut checksum = 0u64;
     let start = Instant::now();
-    let flush = |engine: &mut DynConnectivity<B>,
-                 pending: &mut Vec<(usize, usize)>,
-                 kind: &mut Option<bool>| {
-        match kind.take() {
-            Some(true) => {
-                engine.batch_insert(pending);
-            }
-            Some(false) => {
-                engine.batch_delete(pending);
-            }
-            None => {}
-        }
-        pending.clear();
-    };
     for op in &stream.ops {
         match *op {
-            StreamOp::Insert(u, v) => {
-                if pending_kind != Some(true) {
-                    flush(&mut engine, &mut pending, &mut pending_kind);
-                    pending_kind = Some(true);
-                }
-                pending.push((u, v));
-            }
-            StreamOp::Delete(u, v) => {
-                if pending_kind != Some(false) {
-                    flush(&mut engine, &mut pending, &mut pending_kind);
-                    pending_kind = Some(false);
-                }
-                pending.push((u, v));
-            }
+            StreamOp::Insert(u, v) => pending.push(GraphOp::InsertEdge(u, v)),
+            StreamOp::Delete(u, v) => pending.push(GraphOp::DeleteEdge(u, v)),
             StreamOp::Query(a, b) => {
                 // queries see a consistent state: flush the pending batch
-                flush(&mut engine, &mut pending, &mut pending_kind);
-                checksum = checksum.wrapping_add(engine.connected(a, b) as u64);
+                flush(&mut engine, &mut pending);
+                checksum = checksum.wrapping_add(u64::from(engine.try_connected(a, b) == Ok(true)));
             }
         }
         if pending.len() >= batch {
-            flush(&mut engine, &mut pending, &mut pending_kind);
+            flush(&mut engine, &mut pending);
         }
     }
-    flush(&mut engine, &mut pending, &mut pending_kind);
+    flush(&mut engine, &mut pending);
     checksum = checksum.wrapping_add(engine.component_count() as u64);
     (
         start.elapsed().as_secs_f64(),
@@ -416,7 +394,8 @@ pub fn stream_replay_time(backend: ConnBackend, stream: &EdgeStream) -> (f64, u6
     }
 }
 
-/// Replays `stream` through the batch interface with the given batch size.
+/// Replays `stream` as `apply` transactions of up to `batch` ops (each query
+/// flushes the pending transaction first).
 pub fn stream_batch_replay_time(
     backend: ConnBackend,
     stream: &EdgeStream,
@@ -761,13 +740,7 @@ where
 {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    let mut engine: DynConnectivity<B> = DynConnectivity::new(forest.n);
-    for &(u, v) in &forest.edges {
-        engine.insert_edge(u, v);
-    }
-    for v in 0..forest.n {
-        engine.set_weight(v, ((v * 37) % 1001) as i64 - 500);
-    }
+    let mut engine: DynConnectivity<B> = weighted_engine(forest);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut checksum = 0u64;
     let start = Instant::now();
@@ -776,7 +749,9 @@ where
         let v = rng.random_range(0..forest.n);
         if i % 5 == 4 {
             // 20% weight churn keeps the aggregates hot
-            engine.set_weight(u, rng.random_range(-500..=500));
+            engine
+                .try_set_weight(u, rng.random_range(-500..=500))
+                .expect("in-range vertex on a weighted backend");
         } else if let Some(a) = engine.path_agg(u, v) {
             checksum = checksum
                 .wrapping_add(a.sum as u64)
@@ -930,17 +905,23 @@ pub fn serve_reader_query_time(mix: &ServeMix, readers: usize) -> (f64, u64) {
 // ------------------------------------------------------------------
 
 /// Builds a weighted engine over `forest` carrying the deterministic
-/// initial weight table the weighted benches use.
-fn bulk_engine<B: SpanningBackend<Weights = ufo_forest::SumMinMax>>(
+/// initial weight table the weighted benches use, in one `apply`.
+fn weighted_engine<B: SpanningBackend<Weights = ufo_forest::SumMinMax>>(
     forest: &Forest,
 ) -> DynConnectivity<B> {
     let mut engine: DynConnectivity<B> = DynConnectivity::new(forest.n);
-    for &(u, v) in &forest.edges {
-        engine.insert_edge(u, v);
-    }
-    for v in 0..forest.n {
-        engine.set_weight(v, ((v * 37) % 1001) as i64 - 500);
-    }
+    let ops: Vec<GraphOp> = forest
+        .edges
+        .iter()
+        .map(|&(u, v)| GraphOp::InsertEdge(u, v))
+        .chain((0..forest.n).map(|v| GraphOp::SetWeight(v, ((v * 37) % 1001) as i64 - 500)))
+        .collect();
+    let report = engine.apply(&ops);
+    assert_eq!(
+        report.applied,
+        ops.len(),
+        "weighted engine build declined ops"
+    );
     engine
 }
 
@@ -971,7 +952,7 @@ pub fn bulk_path_update_time(eager: bool, n: usize, rounds: usize, seed: u64) ->
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let forest = path_tree(n);
-    let mut engine: DynConnectivity<LinkCutForest> = bulk_engine(&forest);
+    let mut engine: DynConnectivity<LinkCutForest> = weighted_engine(&forest);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut touched = 0u64;
     let start = Instant::now();
@@ -982,7 +963,9 @@ pub fn bulk_path_update_time(eager: bool, n: usize, rounds: usize, seed: u64) ->
         if eager {
             for x in u.min(v)..=u.max(v) {
                 let w = engine.vertex_weight(x).expect("in-range weighted vertex");
-                engine.set_weight(x, w + delta);
+                engine
+                    .try_set_weight(x, w + delta)
+                    .expect("in-range weighted vertex");
                 touched += 1;
             }
         } else {
@@ -1010,7 +993,7 @@ pub fn bulk_component_update_time(
 ) -> (f64, u64) {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    let mut engine: DynConnectivity<EulerTourForest<TreapSequence>> = bulk_engine(forest);
+    let mut engine: DynConnectivity<EulerTourForest<TreapSequence>> = weighted_engine(forest);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut touched = 0u64;
     let start = Instant::now();
@@ -1020,7 +1003,9 @@ pub fn bulk_component_update_time(
         if eager {
             for x in 0..forest.n {
                 let w = engine.vertex_weight(x).expect("in-range weighted vertex");
-                engine.set_weight(x, w + delta);
+                engine
+                    .try_set_weight(x, w + delta)
+                    .expect("in-range weighted vertex");
                 touched += 1;
             }
         } else {

@@ -1,13 +1,13 @@
-//! Batch front-end for [`DynConnectivity`]: canonicalise, group and
-//! deduplicate whole batches with the `dyntree_primitives` grouping
-//! primitives before the tree layer sees a single operation.
+//! Batch front-end for [`DynConnectivity`]: [`apply`](DynConnectivity::apply)
+//! splits a transaction of [`GraphOp`]s into maximal runs of same-kind ops,
+//! and every run goes through one gated path.
 //!
-//! Batched insertion additionally runs a union-find pre-pass over the batch
-//! itself: once earlier edges of the batch have united two endpoints, a later
+//! An insert run is classified by a union-find pre-pass over the run
+//! itself: once earlier edges of the run have united two endpoints, a later
 //! edge between them is provably a cycle edge and skips the backend's
-//! connectivity probe.  For batches past the
+//! connectivity probe.  For runs past the
 //! [`ParallelConfig`](dyntree_primitives::ParallelConfig) grain the pre-pass
-//! runs **in parallel**: the batch is split into contiguous chunks, each
+//! runs **in parallel**: the run is split into contiguous chunks, each
 //! chunk builds its own sparse DSU (and, for backends with read-only
 //! queries, probes the pre-batch forest via
 //! [`SpanningBackend::connected_snapshot`]), and the sequential application
@@ -19,8 +19,7 @@
 use dyntree_primitives::hash::{FxHashMap, FxHashSet};
 
 use dyntree_primitives::algebra::WeightOf;
-use dyntree_primitives::ops::{BatchReport, EdgeKind, GraphError, GraphOp, OpOutcome};
-use dyntree_primitives::remove_duplicates;
+use dyntree_primitives::ops::{grown_len, BatchReport, EdgeKind, GraphError, GraphOp, OpOutcome};
 use dyntree_primitives::telemetry::{BatchTelemetry, Counter, Phase};
 use rayon::prelude::*;
 
@@ -97,50 +96,14 @@ struct GroupRun {
 }
 
 impl<B: SpanningBackend> DynConnectivity<B> {
-    /// Applies a batch of edge insertions.  Self loops and duplicates (within
-    /// the batch or with live edges) are skipped.  Returns the number of
-    /// edges actually inserted.
-    pub fn batch_insert(&mut self, edges: &[(Vertex, Vertex)]) -> usize {
-        let batch = normalize(edges, self.len());
-        let mut applied = 0;
-        // Union-find pre-pass: once earlier batch edges have united two
-        // endpoints, a later edge between them is provably a cycle edge, so
-        // it can be classified non-tree without a backend connectivity probe.
-        // The DSU is sparse (keyed on batch endpoints only), so the pre-pass
-        // costs O(|batch| α) regardless of the graph's vertex count.  Large
-        // batches compute per-chunk certificates in parallel first.
-        let known = self.plan_insert_pairs(&batch);
-        let _walk_span = self.telemetry().span(Phase::InsertWalk);
-        let mut dsu = SparseDsu::default();
-        for (i, &(u, v)) in batch.iter().enumerate() {
-            let certified = known.as_deref().is_some_and(|k| k[i]);
-            let inserted = if certified || dsu.same(u, v) {
-                self.telemetry().incr(if certified {
-                    Counter::InsertCertificatesUsed
-                } else {
-                    Counter::InsertDsuHits
-                });
-                self.telemetry().incr(Counter::LiveProbesSaved);
-                self.insert_nontree_edge(u, v)
-            } else {
-                self.insert_edge(u, v)
-            };
-            if inserted {
-                applied += 1;
-            }
-            dsu.union(u, v);
-        }
-        applied
-    }
-
-    /// Parallel pre-pass over an insert batch: splits the pairs into
-    /// contiguous chunks and computes, per edge, whether its endpoints are
-    /// *provably already connected* at the moment the edge will be applied.
+    /// Parallel pre-pass over an insert run: splits the run into contiguous
+    /// chunks and computes, per edge, whether its endpoints are *provably
+    /// already connected* at the moment the edge will be applied.
     ///
     /// Two sound certificates feed the flag:
     /// * **chunk-prefix DSU** — earlier edges *of the same chunk* united the
-    ///   endpoints.  Those edges precede this one in the whole batch, and
-    ///   every valid batch edge is live by the time later edges apply.
+    ///   endpoints.  Those edges precede this one in the whole run, and
+    ///   every valid run edge is live by the time later edges apply.
     /// * **snapshot probe** — the endpoints were connected in the pre-batch
     ///   forest ([`SpanningBackend::connected_snapshot`]).  Insert runs only
     ///   ever merge components, so pre-batch connectivity persists.
@@ -155,19 +118,20 @@ impl<B: SpanningBackend> DynConnectivity<B> {
     /// snapshot probes ([`SpanningBackend::SNAPSHOT_QUERIES`]): the
     /// sequential walk's own prefix DSU subsumes every chunk-prefix
     /// certificate, so for those backends the fan-out could never save a
-    /// live probe.
-    fn plan_insert_pairs(&self, pairs: &[(Vertex, Vertex)]) -> Option<Vec<bool>> {
-        if !B::SNAPSHOT_QUERIES || !self.par.worth(pairs.len()) {
+    /// live probe.  The chunks read the ops in place, so no run ever pays
+    /// for a pair list.
+    fn plan_insert_pairs(&self, run: &[OpOf<B>]) -> Option<Vec<bool>> {
+        if !B::SNAPSHOT_QUERIES || !self.par.worth(run.len()) {
             return None;
         }
-        let chunks = self.par.chunks_for(pairs.len());
+        let chunks = self.par.chunks_for(run.len());
         if chunks <= 1 {
             return None;
         }
         let _pre_pass_span = self.telemetry().span(Phase::InsertPrePass);
         let n = self.len();
         let backend = self.backend();
-        let ranges = dyntree_primitives::chunk_ranges(pairs.len(), chunks);
+        let ranges = dyntree_primitives::chunk_ranges(run.len(), chunks);
         // per chunk: (certificates, snapshot probes issued, certificates set)
         let parts: Vec<(Vec<bool>, u64, u64)> = ranges
             .par_iter()
@@ -175,9 +139,10 @@ impl<B: SpanningBackend> DynConnectivity<B> {
                 let mut dsu = SparseDsu::default();
                 let mut probes = 0u64;
                 let mut issued = 0u64;
-                let flags = pairs[lo..hi]
+                let flags = run[lo..hi]
                     .iter()
-                    .map(|&(u, v)| {
+                    .map(|op| {
+                        let (u, v) = insert_pair(op);
                         if u == v || u >= n || v >= n {
                             return false;
                         }
@@ -195,7 +160,7 @@ impl<B: SpanningBackend> DynConnectivity<B> {
                 (flags, probes, issued)
             })
             .collect();
-        let mut flags = Vec::with_capacity(pairs.len());
+        let mut flags = Vec::with_capacity(run.len());
         for (chunk_flags, probes, issued) in parts {
             self.telemetry().add(Counter::SnapshotProbes, probes);
             self.telemetry()
@@ -205,27 +170,11 @@ impl<B: SpanningBackend> DynConnectivity<B> {
         Some(flags)
     }
 
-    /// Applies a batch of edge deletions.  Returns the number of edges
-    /// actually removed.
+    /// The bulk path of a delete run that passed
+    /// [`apply_delete_run`](Self::apply_delete_run)'s gate, reporting one
+    /// [`OpOutcome`] per pair in run order.
     ///
-    /// Runs past the [`ParallelConfig::delete_grain`](dyntree_primitives::ParallelConfig::delete_grain)
-    /// take the same classification pre-pass + non-tree drain as `apply`'s
-    /// consecutive delete runs; the removals performed are **defined** to
-    /// equal deleting the normalized batch one edge at a time.
-    pub fn batch_delete(&mut self, edges: &[(Vertex, Vertex)]) -> usize {
-        let batch = normalize(edges, self.len());
-        let mut applied = 0;
-        self.apply_delete_pairs(&batch, |outcome| applied += outcome.is_applied() as usize);
-        applied
-    }
-
-    /// Applies one run of edge deletions in order, reporting one
-    /// [`OpOutcome`] per pair — the shared core of `apply`'s consecutive
-    /// `DeleteEdge` runs and [`batch_delete`](Self::batch_delete).
-    ///
-    /// Below the [`ParallelConfig::delete_grain`](dyntree_primitives::ParallelConfig::delete_grain) (or for backends without
-    /// read-only snapshot probes) this is the plain sequential walk.  Past
-    /// it, a chunked **classification pre-pass**
+    /// A chunked **classification pre-pass**
     /// ([`classify_delete_pairs`](Self::classify_delete_pairs)) labels every
     /// pair missing / non-tree / tree against the pre-batch forest, and the
     /// walk then *drains* certified non-tree deletions — record removal now,
@@ -239,22 +188,9 @@ impl<B: SpanningBackend> DynConnectivity<B> {
     fn apply_delete_pairs(
         &mut self,
         pairs: &[(Vertex, Vertex)],
-        mut record: impl FnMut(OpOutcome),
+        chunks: usize,
+        report: &mut BatchReport,
     ) {
-        let chunks = self.par.chunks_for(pairs.len());
-        // The bulk path fires for chunkable multi-thread runs as before, and
-        // additionally for any run past the delete grain when the rebuild
-        // hatch is on — the hatch pays off even on a 1-thread pool.
-        let bulk = B::SNAPSHOT_QUERIES
-            && ((self.par.worth_delete(pairs.len()) && chunks > 1)
-                || (self.par.rebuild_enabled() && pairs.len() >= self.par.delete_grain));
-        if !bulk {
-            let _walk_span = self.telemetry().span(Phase::DeleteWalk);
-            for &(u, v) in pairs {
-                record(self.delete_outcome(u, v));
-            }
-            return;
-        }
         let classes = self.classify_delete_pairs(pairs, chunks);
         let _walk_span = self.telemetry().span(Phase::DeleteWalk);
         // Component grouping: certified deletions in distinct pre-batch
@@ -275,20 +211,22 @@ impl<B: SpanningBackend> DynConnectivity<B> {
         let mut promoted: FxHashSet<(Vertex, Vertex)> = FxHashSet::default();
         for (i, &(u, v)) in pairs.iter().enumerate() {
             if let Some(outcome) = slots[i].take() {
-                record(outcome);
+                report.record(outcome);
                 continue;
             }
             match classes[i] {
-                DeleteClass::Invalid(e) => record(OpOutcome::from_error(e)),
-                DeleteClass::Missing => record(OpOutcome::from_error(GraphError::MissingEdge {
-                    u: u.min(v),
-                    v: u.max(v),
-                })),
+                DeleteClass::Invalid(e) => report.record(OpOutcome::from_error(e)),
+                DeleteClass::Missing => {
+                    report.record(OpOutcome::from_error(GraphError::MissingEdge {
+                        u: u.min(v),
+                        v: u.max(v),
+                    }))
+                }
                 DeleteClass::NonTree if !promoted.contains(&(u.min(v), u.max(v))) => {
                     self.telemetry().incr(Counter::DeleteNonTreeDrained);
                     let level = self.take_certified_nontree_record(u, v);
                     drain.push((u, v, level));
-                    record(OpOutcome::EdgeDeleted {
+                    report.record(OpOutcome::EdgeDeleted {
                         kind: EdgeKind::NonTree,
                         split: false,
                     });
@@ -301,7 +239,7 @@ impl<B: SpanningBackend> DynConnectivity<B> {
                         self.telemetry().incr(Counter::DeleteCertificatesStale);
                     }
                     self.flush_nontree_drain(&mut drain);
-                    record(match self.try_delete_edge_traced(u, v) {
+                    report.record(match self.try_delete_edge_traced(u, v) {
                         Ok((outcome, promo)) => {
                             if let Some(edge) = promo {
                                 promoted.insert(edge);
@@ -703,17 +641,6 @@ impl<B: SpanningBackend> DynConnectivity<B> {
         }
     }
 
-    /// One delete through the typed single-op surface, as an [`OpOutcome`].
-    fn delete_outcome(&mut self, u: Vertex, v: Vertex) -> OpOutcome {
-        match self.try_delete_edge(u, v) {
-            Ok(d) => OpOutcome::EdgeDeleted {
-                kind: d.kind,
-                split: d.split,
-            },
-            Err(e) => OpOutcome::from_error(e),
-        }
-    }
-
     /// Chunked classification pre-pass over a delete run: labels every pair
     /// against the **pre-batch** state — endpoint validity, liveness from
     /// the engine's edge registry, and tree-ness from the backend's
@@ -778,9 +705,11 @@ impl<B: SpanningBackend> DynConnectivity<B> {
             let bad = if u >= n { u } else { v };
             return DeleteClass::Invalid(GraphError::VertexOutOfRange { v: bad, len: n });
         }
-        match self.edge_info_snapshot(u, v) {
+        // a plain shared registry read, probed concurrently from pool
+        // workers strictly before any mutation of the run
+        match self.edges.get(&canonical(u, v)).map(|info| info.tree) {
             None => DeleteClass::Missing,
-            Some((_, tree)) => match self.backend().edge_kind_snapshot(u, v) {
+            Some(tree) => match self.backend().edge_kind_snapshot(u, v) {
                 Some(kind) => {
                     debug_assert_eq!(
                         kind == EdgeKind::Tree,
@@ -818,7 +747,7 @@ impl<B: SpanningBackend> DynConnectivity<B> {
         let chunks = self.par.chunks_for(drain.len());
         if chunks <= 1 {
             for &(u, v, level) in drain.iter() {
-                let removed = self.adj_mut().nontree_remove(u, v, level);
+                let removed = self.adj.nontree_remove(u, v, level);
                 debug_assert!(removed, "drained non-tree edge ({u},{v}) not in adjacency");
             }
             drain.clear();
@@ -835,7 +764,7 @@ impl<B: SpanningBackend> DynConnectivity<B> {
         // per touched vertex
         type RebuiltChunk = Vec<(Vertex, Vec<(usize, Vec<Vertex>)>)>;
         let rebuilt: Vec<RebuiltChunk> = {
-            let adj = self.adj_ref();
+            let adj = &self.adj;
             let ranges = dyntree_primitives::chunk_ranges(verts.len(), chunks.min(verts.len()));
             ranges
                 .par_iter()
@@ -869,15 +798,10 @@ impl<B: SpanningBackend> DynConnectivity<B> {
         };
         for (x, touched) in rebuilt.into_iter().flatten() {
             for (level, bucket) in touched {
-                self.adj_mut().nontree_set_bucket(x, level, bucket);
+                self.adj.nontree_set_bucket(x, level, bucket);
             }
         }
         drain.clear();
-    }
-
-    /// Answers a batch of connectivity queries.
-    pub fn batch_connected(&mut self, queries: &[(Vertex, Vertex)]) -> Vec<bool> {
-        queries.iter().map(|&(u, v)| self.connected(u, v)).collect()
     }
 
     /// Applies a transaction of [`GraphOp`]s in submission order and reports
@@ -891,15 +815,15 @@ impl<B: SpanningBackend> DynConnectivity<B> {
     /// no-ops, so replaying a batch is safe.  `AddVertices` grows the vertex
     /// set mid-batch, and later ops in the same batch may use the new ids.
     ///
-    /// Consecutive runs of `InsertEdge` ops are applied in bulk through the
-    /// same sparse union-find pre-pass as [`batch_insert`](Self::batch_insert):
-    /// once earlier inserts of the run have united two endpoints, a later
-    /// edge between them is classified non-tree without a backend
-    /// connectivity probe.  Consecutive runs of `DeleteEdge` ops past the
-    /// [`ParallelConfig::delete_grain`](dyntree_primitives::ParallelConfig::delete_grain) likewise take a chunked
-    /// classification pre-pass and drain certified non-tree deletions in
-    /// bulk ([`batch_delete`](Self::batch_delete) shares the machinery).
-    /// The outcomes are exactly those of applying the ops one at a time.
+    /// Consecutive runs of `InsertEdge` ops are applied in bulk through a
+    /// sparse union-find pre-pass: once earlier inserts of the run have
+    /// united two endpoints, a later edge between them is classified
+    /// non-tree without a backend connectivity probe.  Consecutive runs of
+    /// `DeleteEdge` ops past the
+    /// [`ParallelConfig::delete_grain`](dyntree_primitives::ParallelConfig::delete_grain)
+    /// likewise take a chunked classification pre-pass and drain certified
+    /// non-tree deletions in bulk.  The outcomes are exactly those of
+    /// applying the ops one at a time.
     ///
     /// ```
     /// use dyntree_connectivity::UfoConnectivity;
@@ -973,16 +897,14 @@ impl<B: SpanningBackend> DynConnectivity<B> {
                 }
                 GraphOp::AddVertices(count) => {
                     let first = self.len();
-                    // an id-space overflow is a typed rejection, not a panic
-                    report.record(match first.checked_add(count) {
-                        Some(target) => {
+                    // growth past the u32 id space is a typed rejection,
+                    // not a panic or a silent id truncation
+                    report.record(match grown_len(first, count) {
+                        Ok(target) => {
                             self.ensure_vertices(target);
                             OpOutcome::VerticesAdded { first, count }
                         }
-                        None => OpOutcome::Rejected(GraphError::VertexOutOfRange {
-                            v: usize::MAX,
-                            len: first,
-                        }),
+                        Err(e) => OpOutcome::from_error(e),
                     });
                     i += 1;
                 }
@@ -1026,30 +948,11 @@ impl<B: SpanningBackend> DynConnectivity<B> {
     /// ([`plan_insert_pairs`](Self::plan_insert_pairs)) validate endpoints
     /// and compute connectedness certificates chunk-by-chunk up front.
     fn apply_insert_run(&mut self, run: &[OpOf<B>], report: &mut BatchReport) {
-        // Only materialize the pair list when the run can actually take the
-        // parallel pre-pass — short runs (the common case in mixed streams)
-        // and snapshot-less backends must not pay an allocation on the
-        // engine's hottest entry point.
-        let known = if B::SNAPSHOT_QUERIES && self.par.worth(run.len()) {
-            let pairs: Vec<(Vertex, Vertex)> = run
-                .iter()
-                .map(|op| {
-                    let &GraphOp::InsertEdge(u, v) = op else {
-                        unreachable!("insert runs contain only InsertEdge ops");
-                    };
-                    (u, v)
-                })
-                .collect();
-            self.plan_insert_pairs(&pairs)
-        } else {
-            None
-        };
+        let known = self.plan_insert_pairs(run);
         let _walk_span = self.telemetry().span(Phase::InsertWalk);
         let mut dsu = SparseDsu::default();
         for (i, op) in run.iter().enumerate() {
-            let &GraphOp::InsertEdge(u, v) = op else {
-                unreachable!("insert runs contain only InsertEdge ops");
-            };
+            let (u, v) = insert_pair(op);
             let outcome = if u == v {
                 OpOutcome::from_error(GraphError::SelfLoop { v: u })
             } else if u >= self.len() || v >= self.len() {
@@ -1078,8 +981,7 @@ impl<B: SpanningBackend> DynConnectivity<B> {
                         Counter::InsertDsuHits
                     });
                     self.telemetry().incr(Counter::LiveProbesSaved);
-                    let inserted = self.insert_nontree_edge(u, v);
-                    debug_assert!(inserted, "pre-validated non-tree insert rejected");
+                    self.insert_nontree_edge(u, v);
                     dsu.union(u, v);
                     OpOutcome::EdgeInserted {
                         kind: EdgeKind::NonTree,
@@ -1097,37 +999,55 @@ impl<B: SpanningBackend> DynConnectivity<B> {
     }
 
     /// Applies one maximal run of consecutive `DeleteEdge` ops, recording
-    /// one outcome per op.  Short runs (the common case in mixed streams)
-    /// and snapshot-less backends take the per-op walk without materializing
-    /// a pair list; past the delete grain the run goes through the
-    /// classification pre-pass + non-tree drain of
-    /// [`apply_delete_pairs`](Self::apply_delete_pairs).
+    /// one outcome per op.  The one gate of the delete machinery: short runs
+    /// (the common case in mixed streams), runs on a 1-thread config and
+    /// snapshot-less backends take the per-op walk without materializing a
+    /// pair list.  Chunkable runs past the delete grain — or, with the
+    /// rebuild hatch on, any run past it, since the hatch pays off even on a
+    /// 1-thread pool — go through the classification pre-pass + non-tree
+    /// drain of [`apply_delete_pairs`](Self::apply_delete_pairs).
     ///
     /// An `AddVertices` op can never sit inside a run, so `self.len()` is
     /// constant across it — endpoint validity certified by the pre-pass
     /// cannot go stale mid-run.
     fn apply_delete_run(&mut self, run: &[OpOf<B>], report: &mut BatchReport) {
-        let as_pair = |op: &OpOf<B>| -> (Vertex, Vertex) {
-            let &GraphOp::DeleteEdge(u, v) = op else {
-                unreachable!("delete runs contain only DeleteEdge ops");
-            };
-            (u, v)
-        };
-        if B::SNAPSHOT_QUERIES
-            && (self.par.worth_delete(run.len())
-                || (self.par.rebuild_enabled() && run.len() >= self.par.delete_grain))
-        {
-            let pairs: Vec<(Vertex, Vertex)> = run.iter().map(as_pair).collect();
-            self.apply_delete_pairs(&pairs, |outcome| report.record(outcome));
-        } else {
-            let _walk_span = self.telemetry().span(Phase::DeleteWalk);
-            for op in run {
-                let (u, v) = as_pair(op);
-                let outcome = self.delete_outcome(u, v);
-                report.record(outcome);
+        let hatch = self.par.rebuild_enabled() && run.len() >= self.par.delete_grain;
+        if B::SNAPSHOT_QUERIES && (self.par.worth_delete(run.len()) || hatch) {
+            let chunks = self.par.chunks_for(run.len());
+            if chunks > 1 || hatch {
+                let pairs: Vec<(Vertex, Vertex)> = run.iter().map(delete_pair).collect();
+                self.apply_delete_pairs(&pairs, chunks, report);
+                return;
             }
         }
+        let _walk_span = self.telemetry().span(Phase::DeleteWalk);
+        for op in run {
+            let (u, v) = delete_pair(op);
+            report.record(match self.try_delete_edge(u, v) {
+                Ok(d) => OpOutcome::EdgeDeleted {
+                    kind: d.kind,
+                    split: d.split,
+                },
+                Err(e) => OpOutcome::from_error(e),
+            });
+        }
     }
+}
+
+/// The endpoints of an op of an insert run.
+fn insert_pair<W>(op: &GraphOp<W>) -> (Vertex, Vertex) {
+    let &GraphOp::InsertEdge(u, v) = op else {
+        unreachable!("insert runs contain only InsertEdge ops");
+    };
+    (u, v)
+}
+
+/// The endpoints of an op of a delete run.
+fn delete_pair<W>(op: &GraphOp<W>) -> (Vertex, Vertex) {
+    let &GraphOp::DeleteEdge(u, v) = op else {
+        unreachable!("delete runs contain only DeleteEdge ops");
+    };
+    (u, v)
 }
 
 /// Union-find over only the vertices that actually appear in a batch, so
@@ -1170,22 +1090,11 @@ impl SparseDsu {
     }
 }
 
-/// Canonicalises a batch: drops self loops and out-of-range endpoints,
-/// orients edges `(min, max)`, and removes duplicates with the workspace's
-/// (parallel) grouping primitive.
-fn normalize(edges: &[(Vertex, Vertex)], n: usize) -> Vec<(Vertex, Vertex)> {
-    let cleaned: Vec<(Vertex, Vertex)> = edges
-        .iter()
-        .filter(|&&(u, v)| u != v && u < n && v < n)
-        .map(|&(u, v)| (u.min(v), u.max(v)))
-        .collect();
-    remove_duplicates(cleaned)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::UfoConnectivity;
+    use dyntree_primitives::ops::MAX_VERTICES;
 
     #[test]
     fn apply_reports_per_op_outcomes_and_counters() {
@@ -1238,7 +1147,8 @@ mod tests {
         assert_eq!((report.vertices_before, report.vertices_after), (0, 4));
         assert_eq!(report.components_before, 0);
         assert_eq!(report.components_after, 3); // {0,2}, {1}, {3}
-        assert!(g.connected(0, 2) && !g.connected(0, 1));
+        assert_eq!(g.try_connected(0, 2), Ok(true));
+        assert_eq!(g.try_connected(0, 1), Ok(false));
         g.check_invariants().unwrap();
     }
 
@@ -1277,7 +1187,7 @@ mod tests {
             }
         );
         assert_eq!(report.outcomes[3], OpOutcome::WeightSet);
-        assert!(g.connected(0, 3));
+        assert_eq!(g.try_connected(0, 3), Ok(true));
         assert_eq!(g.component_sum(3), Some(9));
     }
 
@@ -1415,15 +1325,6 @@ mod tests {
             assert_eq!(par.component_count(), seq.component_count());
             assert_eq!(par.num_edges(), seq.num_edges());
             par.check_invariants().unwrap();
-
-            // batch_insert path: same certificate machinery, count-level API
-            let edges: Vec<(usize, usize)> = (0..200).map(|i| (i % 23, (i * 7 + 1) % 23)).collect();
-            let mut a: DynConnectivity<B> = DynConnectivity::new(23).with_parallel_config(forced);
-            let mut b: DynConnectivity<B> =
-                DynConnectivity::new(23).with_parallel_config(ParallelConfig::sequential());
-            assert_eq!(a.batch_insert(&edges), b.batch_insert(&edges));
-            assert_eq!(a.component_count(), b.component_count());
-            a.check_invariants().unwrap();
         }
         // ufo runs the chunked pre-pass (snapshot probes); link-cut skips it
         // entirely (`SNAPSHOT_QUERIES = false` — its chunk-DSU certificates
@@ -1508,15 +1409,16 @@ mod tests {
         assert_eq!(par.num_edges(), seq.num_edges());
         par.check_invariants().unwrap();
 
-        // batch_delete shares the machinery, count-level API
+        // a pure delete run tearing the whole graph down, duplicates included
         let edges: Vec<(usize, usize)> = (0..200).map(|i| (i % 29, (i * 11 + 1) % 29)).collect();
         let mut a: DynConnectivity<ufo_forest::UfoForest> =
             DynConnectivity::new(29).with_parallel_config(forced);
         let mut b: DynConnectivity<ufo_forest::UfoForest> =
             DynConnectivity::new(29).with_parallel_config(ParallelConfig::sequential());
-        a.batch_insert(&edges);
-        b.batch_insert(&edges);
-        assert_eq!(a.batch_delete(&edges), b.batch_delete(&edges));
+        a.apply(&inserts(&edges));
+        b.apply(&inserts(&edges));
+        let (ar, br) = (a.apply(&deletes(&edges)), b.apply(&deletes(&edges)));
+        assert_eq!(ar.outcomes, br.outcomes);
         assert_eq!(a.component_count(), b.component_count());
         assert_eq!(a.num_edges(), 0);
         a.check_invariants().unwrap();
@@ -1539,8 +1441,8 @@ mod tests {
             DynConnectivity::new(13).with_parallel_config(forced);
         let mut seq: DynConnectivity<dyntree_linkcut::LinkCutForest> =
             DynConnectivity::new(13).with_parallel_config(ParallelConfig::sequential());
-        par.batch_insert(&edges);
-        seq.batch_insert(&edges);
+        par.apply(&inserts(&edges));
+        seq.apply(&inserts(&edges));
         let ops: Vec<GraphOp> = edges
             .iter()
             .flat_map(|&(u, v)| [GraphOp::DeleteEdge(u, v); 2]) // with duplicates
@@ -1568,16 +1470,16 @@ mod tests {
         let mut g: DynConnectivity<ufo_forest::UfoForest> =
             DynConnectivity::new(200).with_parallel_config(cfg);
         let edges: Vec<(usize, usize)> = (0..100).map(|i| (i, i + 100)).collect();
-        assert_eq!(g.batch_insert(&edges), 100);
+        assert_eq!(g.apply(&inserts(&edges)).applied, 100);
         g.check_invariants().unwrap();
     }
 
     #[test]
-    fn batch_insert_dedupes_and_classifies() {
+    fn insert_runs_skip_duplicates_and_reject_invalid_edges() {
         let mut g = UfoConnectivity::new(5);
-        let applied = g.batch_insert(&[(0, 1), (1, 0), (1, 2), (2, 0), (3, 3), (0, 9)]);
+        let report = g.apply(&inserts(&[(0, 1), (1, 0), (1, 2), (2, 0), (3, 3), (0, 9)]));
         // (1,0) duplicates (0,1); (3,3) self loop; (0,9) out of range
-        assert_eq!(applied, 3);
+        assert_eq!((report.applied, report.skipped, report.rejected), (3, 1, 2));
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.component_count(), 3); // {0,1,2}, {3}, {4}
         assert_eq!(g.spanning_forest_size(), 2);
@@ -1587,40 +1489,40 @@ mod tests {
     fn batch_delete_triggers_replacements() {
         let mut g = UfoConnectivity::new(6);
         // two triangles bridged by (2, 3)
-        g.batch_insert(&[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]);
+        g.apply(&inserts(&[
+            (0, 1),
+            (1, 2),
+            (2, 0),
+            (3, 4),
+            (4, 5),
+            (5, 3),
+            (2, 3),
+        ]));
         assert_eq!(g.component_count(), 1);
         // delete one tree edge per triangle: non-tree edges replace them
-        let removed = g.batch_delete(&[(0, 1), (3, 4)]);
-        assert_eq!(removed, 2);
+        let report = g.apply(&deletes(&[(0, 1), (3, 4)]));
+        assert_eq!(report.applied, 2);
         assert_eq!(g.component_count(), 1);
-        assert!(g.connected(0, 5));
-        // deleting the bridge splits
-        assert_eq!(g.batch_delete(&[(2, 3), (2, 3)]), 1);
-        assert!(!g.connected(0, 5));
+        assert_eq!(g.try_connected(0, 5), Ok(true));
+        // deleting the bridge splits; the repeat is a benign skip
+        let report = g.apply(&deletes(&[(2, 3), (2, 3)]));
+        assert_eq!((report.applied, report.skipped), (1, 1));
+        assert_eq!(g.try_connected(0, 5), Ok(false));
         assert_eq!(g.component_count(), 2);
     }
 
     #[test]
     fn huge_chain_batch_does_not_overflow_the_stack() {
-        // one chain-shaped batch plus a closing edge: the pre-pass DSU must
-        // resolve the length-k parent chain iteratively
+        // one chain-shaped insert run plus a closing edge: link-cut takes no
+        // pre-pass, so the walk's own DSU must resolve the length-k parent
+        // chain iteratively
         let k = 200_000;
         let mut g = crate::LinkCutConnectivity::new(k + 1);
         let mut batch: Vec<(usize, usize)> = (0..k).map(|i| (i, i + 1)).collect();
         batch.push((0, k));
-        assert_eq!(g.batch_insert(&batch), k + 1);
+        assert_eq!(g.apply(&inserts(&batch)).applied, k + 1);
         assert_eq!(g.component_count(), 1);
         assert_eq!(g.spanning_forest_size(), k);
-    }
-
-    #[test]
-    fn batch_connected_queries() {
-        let mut g = UfoConnectivity::new(6);
-        g.batch_insert(&[(0, 1), (1, 2), (4, 5)]);
-        assert_eq!(
-            g.batch_connected(&[(0, 2), (0, 4), (4, 5), (3, 3)]),
-            vec![true, false, true, true]
-        );
     }
 
     #[test]
@@ -1631,20 +1533,62 @@ mod tests {
             .flat_map(|u| [(u, (u + 1) % 40), (u, (u + 7) % 40)])
             .collect();
         for chunk in edges.chunks(8) {
-            batched.batch_insert(chunk);
+            batched.apply(&inserts(chunk));
             for &(u, v) in chunk {
-                sequential.insert_edge(u, v);
+                let _ = sequential.try_insert_edge(u, v);
             }
         }
         assert_eq!(batched.num_edges(), sequential.num_edges());
         assert_eq!(batched.component_count(), sequential.component_count());
         for chunk in edges.chunks(16) {
-            batched.batch_delete(chunk);
+            batched.apply(&deletes(chunk));
             for &(u, v) in chunk {
-                sequential.delete_edge(u, v);
+                let _ = sequential.try_delete_edge(u, v);
             }
             assert_eq!(batched.component_count(), sequential.component_count());
         }
         assert_eq!(batched.num_edges(), 0);
+    }
+
+    #[test]
+    fn growth_past_the_u32_id_space_is_rejected_without_allocating() {
+        let mut g = UfoConnectivity::new(3);
+        let bytes = g.memory_bytes();
+        let report = g.apply(&[GraphOp::AddVertices(1 << 32), GraphOp::SetWeight(2, 4)]);
+        assert_eq!(
+            report.outcomes,
+            vec![
+                OpOutcome::Rejected(GraphError::VertexOutOfRange {
+                    v: usize::MAX,
+                    len: 3,
+                }),
+                OpOutcome::WeightSet,
+            ]
+        );
+        assert_eq!(g.len(), 3);
+        assert_eq!(
+            g.memory_bytes(),
+            bytes,
+            "a rejected growth allocates nothing"
+        );
+        assert_eq!(g.vertex_weight(2), Some(4));
+        // the direct form refuses the same growth loudly
+        let mut h = UfoConnectivity::new(0);
+        let grow = std::panic::catch_unwind(move || h.ensure_vertices(MAX_VERTICES + 1));
+        assert!(grow.is_err(), "ensure_vertices past the ceiling panics");
+    }
+
+    fn inserts(edges: &[(Vertex, Vertex)]) -> Vec<GraphOp> {
+        edges
+            .iter()
+            .map(|&(u, v)| GraphOp::InsertEdge(u, v))
+            .collect()
+    }
+
+    fn deletes(edges: &[(Vertex, Vertex)]) -> Vec<GraphOp> {
+        edges
+            .iter()
+            .map(|&(u, v)| GraphOp::DeleteEdge(u, v))
+            .collect()
     }
 }

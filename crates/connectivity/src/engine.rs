@@ -3,7 +3,7 @@
 
 use dyntree_primitives::algebra::{Action, ActionOf, Agg, SumMinMax, WeightOf};
 use dyntree_primitives::hash::{fx_map_with_capacity, FxHashMap};
-use dyntree_primitives::ops::{DeleteOutcome, EdgeKind, GraphError};
+use dyntree_primitives::ops::{DeleteOutcome, EdgeKind, GraphError, MAX_VERTICES};
 use dyntree_primitives::telemetry::{Counter, TelemetrySnapshot};
 use dyntree_primitives::{Dsu, ParallelConfig, Telemetry};
 
@@ -14,17 +14,18 @@ use crate::Vertex;
 
 /// Fully-dynamic connectivity over a growable vertex set `0..len()`.
 ///
-/// Maintains a spanning forest of the current graph in the backend `B` under
-/// arbitrary [`try_insert_edge`](Self::try_insert_edge) /
-/// [`try_delete_edge`](Self::try_delete_edge) calls (with lenient bool
-/// wrappers kept for callers that do not need outcomes); `connected` queries
-/// run at the backend's own query speed.  Deleting a tree edge triggers the
-/// Holm–de Lichtenberg–Thorup replacement search over the non-tree edges,
-/// amortized by edge-level increases.  The vertex set grows in place via
+/// Maintains a spanning forest of the current graph in the backend `B`.
+/// There is one mutation path: whole transactions of typed ops go through
+/// [`apply`](Self::apply), which reports per-op outcomes, and
+/// [`try_insert_edge`](Self::try_insert_edge) /
+/// [`try_delete_edge`](Self::try_delete_edge) are its single-op forms.
+/// [`try_connected`](Self::try_connected) queries run at the backend's own
+/// query speed.  Deleting a tree edge triggers the Holm–de
+/// Lichtenberg–Thorup replacement search over the non-tree edges, amortized
+/// by edge-level increases.  The vertex set grows in place via
 /// [`add_vertices`](Self::add_vertices) /
-/// [`ensure_vertices`](Self::ensure_vertices), and whole transactions of
-/// typed ops go through [`apply`](Self::apply), which reports per-op
-/// outcomes.
+/// [`ensure_vertices`](Self::ensure_vertices), up to
+/// [`MAX_VERTICES`].
 #[derive(Clone, Debug)]
 pub struct DynConnectivity<B: SpanningBackend> {
     pub(crate) n: usize,
@@ -124,15 +125,6 @@ impl<B: SpanningBackend> DynConnectivity<B> {
         self
     }
 
-    /// Builds a graph from an edge list (self loops and duplicates skipped).
-    pub fn from_edges(n: usize, edges: &[(Vertex, Vertex)]) -> Self {
-        let mut g = Self::new(n);
-        for &(u, v) in edges {
-            g.insert_edge(u, v);
-        }
-        g
-    }
-
     /// Number of vertices.
     pub fn len(&self) -> usize {
         self.n
@@ -142,10 +134,19 @@ impl<B: SpanningBackend> DynConnectivity<B> {
     /// of the id range (a smaller `n` is a no-op).  The vertex set is no
     /// longer frozen at construction: a graph may start at
     /// [`new(0)`](Self::new) and grow as the workload discovers vertices.
+    ///
+    /// # Panics
+    ///
+    /// If `n` exceeds [`MAX_VERTICES`]: every structure stores vertex ids as
+    /// `u32`.  `apply`'s `AddVertices` rejects such growth instead.
     pub fn ensure_vertices(&mut self, n: usize) {
         if n <= self.n {
             return;
         }
+        assert!(
+            n <= MAX_VERTICES,
+            "vertex count {n} exceeds the u32 id space ({MAX_VERTICES} vertices)"
+        );
         self.backend.ensure_vertices(n);
         self.adj.ensure_vertices(n);
         self.mark.resize(n, 0);
@@ -163,11 +164,11 @@ impl<B: SpanningBackend> DynConnectivity<B> {
     }
 
     /// Appends `count` isolated vertices and returns their id range.  The
-    /// vertex id space saturates at `usize::MAX` (the returned range is the
-    /// growth that actually happened).
+    /// vertex id space saturates at [`MAX_VERTICES`] (the returned range is
+    /// the growth that actually happened).
     pub fn add_vertices(&mut self, count: usize) -> std::ops::Range<Vertex> {
         let first = self.n;
-        self.ensure_vertices(first.saturating_add(count));
+        self.ensure_vertices(first.saturating_add(count).min(MAX_VERTICES));
         first..self.n
     }
 
@@ -230,14 +231,6 @@ impl<B: SpanningBackend> DynConnectivity<B> {
         } else {
             Err(GraphError::Unweighted)
         }
-    }
-
-    /// Sets the weight of vertex `v` in the backend.  Returns whether the
-    /// weight was actually recorded.  Thin wrapper over
-    /// [`try_set_weight`](Self::try_set_weight), kept for callers that do
-    /// not care *why* a weight was declined; prefer the typed variant.
-    pub fn set_weight(&mut self, v: Vertex, w: WeightOf<B::Weights>) -> bool {
-        self.try_set_weight(v, w).is_ok()
     }
 
     /// Reads the current weight of vertex `v` back from the backend.  `None`
@@ -337,14 +330,6 @@ impl<B: SpanningBackend> DynConnectivity<B> {
         Ok(u == v || self.backend.connected(u, v))
     }
 
-    /// Whether `u` and `v` are connected, answered by the backend's forest.
-    /// Out-of-range vertices are connected to nothing (mirroring the lenient
-    /// bool mutators); prefer [`try_connected`](Self::try_connected) when the
-    /// distinction matters.
-    pub fn connected(&mut self, u: Vertex, v: Vertex) -> bool {
-        self.try_connected(u, v).unwrap_or(false)
-    }
-
     /// Inserts edge `(u, v)`, reporting what happened: `Ok(EdgeKind::Tree)`
     /// when the edge joined two components, `Ok(EdgeKind::NonTree)` when it
     /// closed a cycle, and a typed [`GraphError`] (self loop, out-of-range
@@ -383,21 +368,13 @@ impl<B: SpanningBackend> DynConnectivity<B> {
         }
     }
 
-    /// Inserts edge `(u, v)`.  Returns `false` for self loops, out-of-range
-    /// endpoints and duplicates.  Thin wrapper over
-    /// [`try_insert_edge`](Self::try_insert_edge); prefer the typed variant,
-    /// which also reports whether the edge entered the spanning forest.
-    pub fn insert_edge(&mut self, u: Vertex, v: Vertex) -> bool {
-        self.try_insert_edge(u, v).is_ok()
-    }
-
     /// Inserts `(u, v)` that is already known to connect two connected
     /// vertices (the batch layer proves this with its union-find pre-pass),
-    /// skipping the backend's connectivity probe.
-    pub(crate) fn insert_nontree_edge(&mut self, u: Vertex, v: Vertex) -> bool {
-        if u == v || u >= self.n || v >= self.n || self.has_edge(u, v) {
-            return false;
-        }
+    /// skipping the backend's connectivity probe.  The caller has already
+    /// validated the edge: distinct in-range endpoints, not yet live.
+    pub(crate) fn insert_nontree_edge(&mut self, u: Vertex, v: Vertex) {
+        debug_assert!(self.check_edge(u, v).is_ok(), "invalid edge ({u},{v})");
+        debug_assert!(!self.has_edge(u, v), "duplicate edge ({u},{v})");
         debug_assert!(self.backend.connected(u, v), "hint was wrong: ({u},{v})");
         self.adj.nontree_insert(u, v, 0);
         self.edges.insert(
@@ -407,15 +384,6 @@ impl<B: SpanningBackend> DynConnectivity<B> {
                 tree: false,
             },
         );
-        true
-    }
-
-    /// Read-only snapshot of a live edge's book-keeping for the batch-delete
-    /// classification pre-pass: `(level, is_tree)`, or `None` when `(u, v)`
-    /// is not live.  Probed concurrently from pool workers — a plain shared
-    /// `HashMap` read, always strictly before any mutation of the batch.
-    pub(crate) fn edge_info_snapshot(&self, u: Vertex, v: Vertex) -> Option<(usize, bool)> {
-        self.edges.get(&canonical(u, v)).map(|i| (i.level, i.tree))
     }
 
     /// Removes a *certified non-tree* edge's record, returning its level at
@@ -434,16 +402,6 @@ impl<B: SpanningBackend> DynConnectivity<B> {
             "certified non-tree edge ({u},{v}) is a tree edge"
         );
         info.level
-    }
-
-    /// Shared access to the level adjacency (batch-delete drain flush).
-    pub(crate) fn adj_ref(&self) -> &LevelAdjacency {
-        &self.adj
-    }
-
-    /// Mutable access to the level adjacency (batch-delete drain flush).
-    pub(crate) fn adj_mut(&mut self) -> &mut LevelAdjacency {
-        &mut self.adj
     }
 
     /// Deletes edge `(u, v)`, reporting what happened: the deleted edge's
@@ -501,13 +459,6 @@ impl<B: SpanningBackend> DynConnectivity<B> {
             },
             promoted,
         ))
-    }
-
-    /// Deletes edge `(u, v)`.  Returns `false` if not live.  Thin wrapper
-    /// over [`try_delete_edge`](Self::try_delete_edge); prefer the typed
-    /// variant, which also reports whether the component split.
-    pub fn delete_edge(&mut self, u: Vertex, v: Vertex) -> bool {
-        self.try_delete_edge(u, v).is_ok()
     }
 
     /// HDT replacement search after cutting tree edge `(u, v)` of level `l`.
@@ -917,14 +868,15 @@ impl std::fmt::Display for MemoryBreakdown {
 mod tests {
     use super::*;
     use crate::{EulerConnectivity, LinkCutConnectivity, NaiveConnectivity, UfoConnectivity};
+    use dyntree_primitives::ops::{GraphOp, OpOutcome};
 
     fn triangle_replacement<B: SpanningBackend>() {
         let mut g: DynConnectivity<B> = DynConnectivity::new(4);
-        assert!(g.insert_edge(0, 1));
-        assert!(g.insert_edge(1, 2));
-        assert!(g.insert_edge(2, 0), "cycle edge accepted as non-tree");
-        assert!(!g.insert_edge(0, 1), "duplicate rejected");
-        assert!(!g.insert_edge(3, 3), "self loop rejected");
+        assert_eq!(g.try_insert_edge(0, 1), Ok(EdgeKind::Tree));
+        assert_eq!(g.try_insert_edge(1, 2), Ok(EdgeKind::Tree));
+        assert_eq!(g.try_insert_edge(2, 0), Ok(EdgeKind::NonTree));
+        assert!(g.try_insert_edge(0, 1).is_err(), "duplicate rejected");
+        assert!(g.try_insert_edge(3, 3).is_err(), "self loop rejected");
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.component_count(), 2);
         assert_eq!(g.spanning_forest_size(), 2);
@@ -932,14 +884,14 @@ mod tests {
         assert!(!g.is_tree_edge(2, 0));
 
         // deleting a tree edge of the triangle keeps it connected
-        assert!(g.delete_edge(0, 1));
-        assert!(g.connected(0, 1));
+        assert!(g.try_delete_edge(0, 1).is_ok());
+        assert_eq!(g.try_connected(0, 1), Ok(true));
         assert_eq!(g.component_count(), 2);
         assert!(g.is_tree_edge(2, 0), "replacement promoted");
 
         // now the cycle is gone: deleting a tree edge splits
-        assert!(g.delete_edge(1, 2));
-        assert!(!g.connected(0, 1));
+        assert!(g.try_delete_edge(1, 2).is_ok_and(|d| d.split));
+        assert_eq!(g.try_connected(0, 1), Ok(false));
         assert_eq!(g.component_count(), 3);
         g.check_invariants().unwrap();
     }
@@ -959,11 +911,10 @@ mod tests {
         let mut b = LinkCutConnectivity::new(3);
         let mut c = EulerConnectivity::new(3);
         let mut d = NaiveConnectivity::new(3);
-        a.insert_edge(0, 1);
-        b.insert_edge(0, 1);
-        c.insert_edge(0, 1);
-        d.insert_edge(0, 1);
-        assert!(a.connected(0, 1) && b.connected(0, 1) && c.connected(0, 1) && d.connected(0, 1));
+        assert!(a.try_insert_edge(0, 1).is_ok() && a.try_connected(0, 1) == Ok(true));
+        assert!(b.try_insert_edge(0, 1).is_ok() && b.try_connected(0, 1) == Ok(true));
+        assert!(c.try_insert_edge(0, 1).is_ok() && c.try_connected(0, 1) == Ok(true));
+        assert!(d.try_insert_edge(0, 1).is_ok() && d.try_connected(0, 1) == Ok(true));
     }
 
     #[test]
@@ -972,20 +923,20 @@ mod tests {
         let mut g = UfoConnectivity::new(n);
         for u in 0..n {
             for v in (u + 1)..n {
-                g.insert_edge(u, v);
+                g.try_insert_edge(u, v).unwrap();
             }
         }
         assert_eq!(g.component_count(), 1);
         // delete every edge incident to vertex 0 except (0, n-1)
         for v in 1..n - 1 {
-            assert!(g.delete_edge(0, v));
-            assert!(g.connected(0, v), "clique survives single deletions");
+            assert!(g.try_delete_edge(0, v).is_ok());
+            assert_eq!(g.try_connected(0, v), Ok(true), "clique survives");
         }
         g.check_invariants().unwrap();
         // tear the whole graph down
         for u in 0..n {
             for v in (u + 1)..n {
-                g.delete_edge(u, v);
+                let _ = g.try_delete_edge(u, v);
             }
         }
         assert_eq!(g.num_edges(), 0);
@@ -1000,19 +951,19 @@ mod tests {
             assert!(g.is_empty());
             assert_eq!(g.add_vertices(3), 0..3);
             assert_eq!(g.component_count(), 3);
-            assert!(g.insert_edge(0, 1));
-            assert!(g.insert_edge(1, 2));
-            assert!(g.insert_edge(2, 0)); // non-tree
+            g.try_insert_edge(0, 1).unwrap();
+            g.try_insert_edge(1, 2).unwrap();
+            assert_eq!(g.try_insert_edge(2, 0), Ok(EdgeKind::NonTree));
             let v = g.add_vertex();
             assert_eq!(v, 3);
             assert_eq!(g.len(), 4);
             assert_eq!(g.component_count(), 2);
-            assert!(!g.connected(0, 3));
-            assert!(g.insert_edge(1, 3));
-            assert!(g.connected(0, 3));
+            assert_eq!(g.try_connected(0, 3), Ok(false));
+            g.try_insert_edge(1, 3).unwrap();
+            assert_eq!(g.try_connected(0, 3), Ok(true));
             // deletions through the grown region still find replacements
-            assert!(g.delete_edge(0, 1));
-            assert!(g.connected(0, 3), "replacement via (2,0)");
+            g.try_delete_edge(0, 1).unwrap();
+            assert_eq!(g.try_connected(0, 3), Ok(true), "replacement via (2,0)");
             g.check_invariants().unwrap();
             g.ensure_vertices(2); // shrinking is a no-op
             assert_eq!(g.len(), 4);
@@ -1029,22 +980,21 @@ mod tests {
         // 2 vertices -> cap 2; growth to 64 must allow levels up to 6, or
         // dense churn after growth would trip the level-cap invariant
         let mut g = UfoConnectivity::new(2);
-        g.insert_edge(0, 1);
+        g.try_insert_edge(0, 1).unwrap();
         g.ensure_vertices(64);
         for u in 0..16 {
             for v in (u + 1)..16 {
-                g.insert_edge(u, v);
+                let _ = g.try_insert_edge(u, v);
             }
         }
         for u in 0..16 {
             for v in (u + 1)..16 {
-                g.delete_edge(u, v);
+                g.try_delete_edge(u, v).unwrap();
             }
         }
         g.check_invariants().unwrap();
         assert_eq!(g.component_count(), 64);
     }
-
     #[test]
     fn typed_errors_cover_every_mutating_entry_point() {
         let mut g = UfoConnectivity::new(3);
@@ -1095,7 +1045,7 @@ mod tests {
     #[test]
     fn typed_errors_cover_every_query_entry_point() {
         let mut g = UfoConnectivity::new(3);
-        g.insert_edge(0, 1);
+        g.try_insert_edge(0, 1).unwrap();
         assert_eq!(
             g.try_connected(0, 8),
             Err(GraphError::VertexOutOfRange { v: 8, len: 3 })
@@ -1117,52 +1067,64 @@ mod tests {
         // backends that cannot answer a query family say so, instead of
         // conflating "unsupported" with "disconnected" or "zero"
         let mut lct = LinkCutConnectivity::new(2);
-        lct.insert_edge(0, 1);
+        lct.try_insert_edge(0, 1).unwrap();
         assert_eq!(lct.try_component_agg(0), Err(GraphError::UnsupportedQuery));
         assert!(lct.try_path_agg(0, 1).unwrap().is_some());
         let mut topo: DynConnectivity<ufo_forest::TopologyForest> = DynConnectivity::new(2);
-        topo.insert_edge(0, 1);
+        topo.try_insert_edge(0, 1).unwrap();
         assert_eq!(topo.try_path_agg(0, 1), Err(GraphError::UnsupportedQuery));
         assert!(topo.try_component_agg(0).is_ok());
     }
 
     #[test]
-    fn out_of_range_vertices_are_lenient_everywhere() {
-        // queries must mirror the mutators' silent-skip contract, not panic
+    fn out_of_range_vertices_are_typed_errors_everywhere() {
+        // every entry point names the offending id instead of a silent false
         let mut g = UfoConnectivity::new(3);
-        g.insert_edge(0, 1);
-        assert!(!g.insert_edge(0, 7));
-        assert!(!g.connected(0, 7));
-        assert!(!g.connected(9, 9));
-        assert_eq!(g.batch_connected(&[(0, 7), (0, 1)]), vec![false, true]);
+        g.try_insert_edge(0, 1).unwrap();
+        let out_of_range = |v| GraphError::VertexOutOfRange { v, len: 3 };
+        assert_eq!(g.try_insert_edge(0, 7), Err(out_of_range(7)));
+        assert_eq!(g.try_connected(0, 7), Err(out_of_range(7)));
+        assert_eq!(g.try_connected(9, 9), Err(out_of_range(9)));
+        assert_eq!(g.try_set_weight(7, 5), Err(out_of_range(7)));
+        assert_eq!(g.try_delete_edge(0, 7), Err(out_of_range(7)));
+        let report = g.apply(&[
+            GraphOp::InsertEdge(0, 7),
+            GraphOp::DeleteEdge(7, 0),
+            GraphOp::SetWeight(7, 5),
+        ]);
+        assert_eq!(report.rejected, 3);
+        assert!(report
+            .outcomes
+            .iter()
+            .all(|o| *o == OpOutcome::Rejected(out_of_range(7))));
+        // the aggregate helpers keep their documented neutral answers
         assert_eq!(g.component_size(7), 0);
         assert_eq!(g.component_sum(7), None);
-        g.set_weight(7, 5); // ignored, no panic
-        assert!(!g.delete_edge(0, 7));
+        assert_eq!(g.num_edges(), 1);
     }
 
     #[test]
     fn weighted_queries_distinguish_zero_from_unsupported() {
         // UFO backend: full weighted surface — a zero sum is a real zero.
         let mut g = UfoConnectivity::new(4);
-        g.insert_edge(0, 1);
-        g.insert_edge(1, 2);
+        g.try_insert_edge(0, 1).unwrap();
+        g.try_insert_edge(1, 2).unwrap();
         assert!(g.weighted());
-        assert!(g.set_weight(1, 0));
+        assert_eq!(g.try_set_weight(1, 0), Ok(()));
         assert_eq!(g.component_sum(0), Some(0), "true zero, not a default");
-        assert!(g.set_weight(1, 7));
+        assert_eq!(g.try_set_weight(1, 7), Ok(()));
         assert_eq!(g.component_sum(0), Some(7));
         let p = g.path_agg(0, 2).expect("ufo answers path aggregates");
         assert_eq!(p.sum, 7);
         assert_eq!(p.edges, 2);
         assert!(g.path_agg(0, 3).is_none(), "disconnected");
-        assert!(!g.set_weight(9, 1), "out of range is declined");
+        assert!(g.try_set_weight(9, 1).is_err(), "out of range is declined");
 
         // Link-cut backend: paths yes, component aggregates no — and the
         // engine reports the gap as None instead of a silent zero.
         let mut h = LinkCutConnectivity::new(3);
-        h.insert_edge(0, 1);
-        assert!(h.set_weight(0, 5));
+        h.try_insert_edge(0, 1).unwrap();
+        assert_eq!(h.try_set_weight(0, 5), Ok(()));
         assert_eq!(h.component_sum(0), None, "no component aggregates");
         assert_eq!(h.path_sum(0, 1), Some(5));
         assert_eq!(h.path_max(0, 1), Some(5));
@@ -1170,8 +1132,8 @@ mod tests {
         // Topology backend: declines path aggregates (ternarized answers
         // would be inexact) but answers component aggregates.
         let mut t: DynConnectivity<ufo_forest::TopologyForest> = DynConnectivity::new(3);
-        t.insert_edge(0, 1);
-        assert!(t.set_weight(0, 3));
+        t.try_insert_edge(0, 1).unwrap();
+        assert_eq!(t.try_set_weight(0, 3), Ok(()));
         assert_eq!(t.component_sum(0), Some(3));
         assert!(t.path_agg(0, 1).is_none());
     }
@@ -1180,11 +1142,11 @@ mod tests {
     fn path_then_bridge_deletion_splits() {
         let mut g = LinkCutConnectivity::new(6);
         for i in 0..5 {
-            g.insert_edge(i, i + 1);
+            g.try_insert_edge(i, i + 1).unwrap();
         }
         assert_eq!(g.component_count(), 1);
-        assert!(g.delete_edge(2, 3), "bridge deletion");
-        assert!(!g.connected(0, 5));
+        assert!(g.try_delete_edge(2, 3).is_ok_and(|d| d.split), "bridge");
+        assert_eq!(g.try_connected(0, 5), Ok(false));
         assert_eq!(g.component_count(), 2);
         assert_eq!(g.component_size(0), 3);
         assert_eq!(g.component_size(5), 3);

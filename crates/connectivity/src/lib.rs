@@ -16,16 +16,16 @@
 //!   increases, amortizing the replacement-edge searches that deletions of
 //!   tree edges trigger (`O(log² n)` amortized per update in the classic
 //!   analysis);
-//! * batches of insertions/deletions are canonicalised and deduplicated with
-//!   the `dyntree_primitives` grouping primitives before touching the tree
-//!   layer (see [`batch`]).
+//! * runs of insertions/deletions inside a batch take union-find and
+//!   classification pre-passes (chunked over the pool past a grain) before
+//!   touching the tree layer (see [`batch`]).
 //!
-//! The public surface is batch-first and typed: the vertex set grows in
-//! place (`add_vertices` / `AddVertices` ops — `new(0)` is a perfectly good
-//! starting point), every mutation has a fallible `try_*` form returning
-//! [`GraphError`] instead of a flat `false`, and whole transactions of
-//! [`GraphOp`]s go through [`DynConnectivity::apply`], which returns a
-//! [`BatchReport`] of per-op outcomes.
+//! The public surface is batch-first and typed, with one mutation path:
+//! whole transactions of [`GraphOp`]s go through [`DynConnectivity::apply`],
+//! which returns a [`BatchReport`] of per-op outcomes, and the single-op
+//! `try_*` forms return a [`GraphError`] instead of a flat `false`.  The
+//! vertex set grows in place (`AddVertices` ops — `new(0)` is a perfectly
+//! good starting point).
 //!
 //! The entry point is [`DynConnectivity`]; convenience aliases pick each
 //! forest of the workspace as the backend:
@@ -37,9 +37,9 @@
 //! assert_eq!(g.try_insert_edge(0, 1), Ok(EdgeKind::Tree));
 //! assert_eq!(g.try_insert_edge(1, 2), Ok(EdgeKind::Tree));
 //! assert_eq!(g.try_insert_edge(2, 0), Ok(EdgeKind::NonTree)); // cycle
-//! assert!(g.connected(0, 2));
+//! assert_eq!(g.try_connected(0, 2), Ok(true));
 //! g.try_delete_edge(0, 1).unwrap(); // tree edge: replaced by (2, 0)
-//! assert!(g.connected(0, 2));
+//! assert_eq!(g.try_connected(0, 2), Ok(true));
 //! assert_eq!(g.component_count(), 3); // {0,1,2} plus two isolated vertices
 //!
 //! // the same graph, as one reported transaction

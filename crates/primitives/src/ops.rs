@@ -146,6 +146,22 @@ pub enum GraphOp<W = i64> {
     ComponentApply(usize, W),
 }
 
+/// The most vertices a graph may hold: every structure stores vertex ids as
+/// `u32`, so the valid ids are `0..u32::MAX`.
+pub const MAX_VERTICES: usize = u32::MAX as usize;
+
+/// The vertex count after [`GraphOp::AddVertices`]`(count)` on a
+/// `len`-vertex graph, or the typed rejection when the growth would pass
+/// [`MAX_VERTICES`] (`usize` overflow included).  The one growth check: the
+/// connectivity engine and the serving layer's weight mirror both call it,
+/// so they always agree on which growth ops applied.
+pub fn grown_len(len: usize, count: usize) -> Result<usize, GraphError> {
+    match len.checked_add(count) {
+        Some(target) if target <= MAX_VERTICES => Ok(target),
+        _ => Err(GraphError::VertexOutOfRange { v: usize::MAX, len }),
+    }
+}
+
 /// What actually happened to one [`GraphOp`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OpOutcome {
@@ -373,6 +389,16 @@ mod tests {
         let line = r.to_string();
         assert!(line.contains("4 applied") && line.contains("1 rejected"));
         assert!(line.ends_with("| v7"));
+    }
+
+    #[test]
+    fn growth_stops_at_the_u32_id_space() {
+        assert_eq!(grown_len(3, 4), Ok(7));
+        assert_eq!(grown_len(0, MAX_VERTICES), Ok(MAX_VERTICES));
+        let reject = |len| Err(GraphError::VertexOutOfRange { v: usize::MAX, len });
+        assert_eq!(grown_len(1, MAX_VERTICES), reject(1));
+        assert_eq!(grown_len(0, 1 << 32), reject(0));
+        assert_eq!(grown_len(5, usize::MAX), reject(5));
     }
 
     #[test]

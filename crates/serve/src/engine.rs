@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use dyntree_connectivity::{DynConnectivity, SpanningBackend};
 use dyntree_primitives::algebra::WeightOf;
-use dyntree_primitives::ops::{BatchReport, GraphOp};
+use dyntree_primitives::ops::{grown_len, BatchReport, GraphOp};
 use dyntree_primitives::telemetry::Phase;
 use dyntree_primitives::{ParallelConfig, Telemetry};
 
@@ -199,8 +199,8 @@ impl<B: SpanningBackend> ServingEngine<B> {
 /// Brings the shadow weights up to date with a just-applied batch.
 ///
 /// `SetWeight` ops are replayed from the op stream, mirroring the engine's
-/// own validation: `AddVertices` grows the id space mid-batch (with the
-/// same overflow rejection), and a `SetWeight` lands iff its vertex is in
+/// own validation: `AddVertices` grows the id space mid-batch (through the
+/// engine's own growth check, [`grown_len`]), and a `SetWeight` lands iff its vertex is in
 /// range *at that point in the batch* and the backend records weights.
 ///
 /// The bulk ops (`PathApply` / `ComponentApply`) *cannot* be replayed that
@@ -226,7 +226,7 @@ fn shadow_weights<B: SpanningBackend>(
     for op in ops {
         match *op {
             GraphOp::AddVertices(count) => {
-                if let Some(target) = len.checked_add(count) {
+                if let Ok(target) = grown_len(len, count) {
                     len = target;
                 }
             }

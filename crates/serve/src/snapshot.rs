@@ -93,8 +93,8 @@ impl<M: CommutativeMonoid> Snapshot<M> {
     }
 
     /// Whether `u` and `v` are connected in this snapshot.  Out-of-range
-    /// vertices are connected to nothing, mirroring the engine's lenient
-    /// query contract.
+    /// vertices are connected to nothing: a reader pinned to an epoch from
+    /// before a growth batch does not know the newer ids yet.
     #[inline]
     pub fn connected(&self, u: usize, v: usize) -> bool {
         u < self.vertices && v < self.vertices && (u == v || self.labels[u] == self.labels[v])

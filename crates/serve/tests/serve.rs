@@ -11,7 +11,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use dyntree_primitives::algebra::{Agg, SumMinMax};
-use dyntree_primitives::ops::GraphOp;
+use dyntree_primitives::ops::{GraphError, GraphOp, OpOutcome};
 use dyntree_primitives::Dsu;
 use dyntree_serve::{
     EpochRetired, NaiveServingEngine, PinnedReader, ReadHandle, ServingEngine, Snapshot,
@@ -544,4 +544,35 @@ fn serving_answers_component_agg_for_path_only_backends() {
     let agg = reader.component_agg(0).value.unwrap();
     assert_eq!((agg.sum, agg.count), (12, 2));
     assert_eq!(reader.component_size(0).value, 2);
+}
+
+#[test]
+fn growth_past_the_u32_id_space_is_rejected_by_engine_and_mirror_alike() {
+    // The weight mirror must reject exactly the growth the engine rejects:
+    // accepting it would let a later SetWeight index past the shadow table.
+    let mut serving = UfoServingEngine::new(3);
+    serving.apply(&[GraphOp::InsertEdge(0, 1), GraphOp::SetWeight(0, 5)]);
+    let bytes = serving.engine().memory_breakdown().total();
+    let report = serving.apply(&[GraphOp::AddVertices(1 << 32), GraphOp::SetWeight(1, 9)]);
+    assert_eq!(
+        report.outcomes,
+        vec![
+            OpOutcome::Rejected(GraphError::VertexOutOfRange {
+                v: usize::MAX,
+                len: 3,
+            }),
+            OpOutcome::WeightSet,
+        ]
+    );
+    assert_eq!(serving.len(), 3);
+    assert_eq!(serving.engine().memory_breakdown().total(), bytes);
+    let mut reader = serving.reader();
+    let agg = reader.component_agg(1);
+    assert_eq!(agg.epoch, report.version);
+    assert_eq!(
+        agg.value.unwrap().sum,
+        5 + 9,
+        "the in-range SetWeight landed"
+    );
+    serving.verify_shadow_weights().unwrap();
 }

@@ -11,7 +11,7 @@
 //! worker threads once a batch passes the `worth_parallel` grain; results
 //! are byte-identical at every thread count (the combinators are
 //! order-preserving and the parallel sorts produce the stable permutation).
-//! `DESIGN.md` §4.4 records this deviation: the benchmark comparisons in
+//! `DESIGN.md` §4 records this deviation: the benchmark comparisons in
 //! Figures 8, 9 and 16 run every batch structure through the same interface,
 //! so the relative comparison is preserved, but the absolute parallel speedup
 //! of the restructuring phase is not reproduced.

@@ -61,9 +61,13 @@ fn main() {
         let queries: Vec<(usize, usize)> = (0..1_000)
             .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
             .collect();
-        let ufo_answers = ufo.batch_connected(&queries);
-        let ett_answers = ett.batch_connected(&queries);
-        assert_eq!(ufo_answers, ett_answers, "batch {} answers disagree", i);
+        for &(u, v) in &queries {
+            assert_eq!(
+                ufo.try_connected(u, v),
+                ett.try_connected(u, v),
+                "batch {i} answers disagree on ({u},{v})"
+            );
+        }
         println!(
             "txn {:>2}: [{}] | ufo {:>7.2?} vs ett {:>7.2?} | {} queries agree",
             i,

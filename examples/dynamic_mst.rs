@@ -23,7 +23,7 @@
 //! A second phase exercises the lazy-action layer (DESIGN.md §13):
 //! *corridor decay* re-weights every forest edge on a tree path with **one**
 //! `try_path_apply` — an O(log n) lazy tag instead of the pre-action
-//! alternative, one `set_weight` per touched edge (O(k log n) for a
+//! alternative, one `SetWeight` per touched edge (O(k log n) for a
 //! k-edge corridor).  A uniform shift moves every argmax candidate by the
 //! same amount, so `MaxEdge` keeps its carrier ids and `path_agg` keeps
 //! naming real edges; and since decay only *lowers* forest-edge weights,
@@ -34,7 +34,7 @@
 //!
 //! Run with: `cargo run --release --example dynamic_mst`
 
-use dyntree_connectivity::DynConnectivity;
+use dyntree_connectivity::{DynConnectivity, GraphOp};
 use dyntree_linkcut::LinkCutForest;
 use dyntree_primitives::algebra::{MaxEdge, WeightedId};
 use dyntree_primitives::Dsu;
@@ -73,7 +73,7 @@ impl IncrementalMsf {
     fn insert(&mut self, u: usize, v: usize, w: i64) -> bool {
         let e = self.next_id;
         self.next_id += 1;
-        if self.engine.connected(u, v) {
+        if self.engine.try_connected(u, v) == Ok(true) {
             // Max edge on the current tree path; the subdivision vertices are
             // the only weight carriers, so the argmax names a forest edge.
             let top = self
@@ -95,9 +95,12 @@ impl IncrementalMsf {
         let ev = self.edge_vertex(e);
         // The engine only ever holds forest edges, so both subdivision
         // segments join distinct trees (ev is isolated before this).
-        assert!(self.engine.insert_edge(u, ev));
-        assert!(self.engine.insert_edge(ev, v));
-        assert!(self.engine.set_weight(ev, WeightedId { weight: w, id: e }));
+        let report = self.engine.apply(&[
+            GraphOp::InsertEdge(u, ev),
+            GraphOp::InsertEdge(ev, v),
+            GraphOp::SetWeight(ev, WeightedId { weight: w, id: e }),
+        ]);
+        assert_eq!(report.applied, 3, "forest edge insert declined: {report}");
         self.forest_edges[e] = Some((u, v, w));
         self.total_weight += w;
     }
@@ -107,8 +110,10 @@ impl IncrementalMsf {
         let ev = self.edge_vertex(e);
         // No non-tree edges exist, so each deletion splits (no replacement
         // search can rewire the forest behind our back).
-        assert!(self.engine.delete_edge(u, ev));
-        assert!(self.engine.delete_edge(ev, v));
+        let report = self
+            .engine
+            .apply(&[GraphOp::DeleteEdge(u, ev), GraphOp::DeleteEdge(ev, v)]);
+        assert_eq!(report.applied, 2, "forest edge delete declined: {report}");
         self.total_weight -= w;
     }
 
@@ -255,7 +260,7 @@ fn main() {
     );
 
     // Phase 2 — corridor decay interleaved with fresh inserts.  Each round
-    // lowers a whole tree path with one lazy path_apply (vs one set_weight
+    // lowers a whole tree path with one lazy path_apply (vs one SetWeight
     // per corridor edge before the action layer existed), then inserts a
     // new random edge so the eviction rule keeps running over the decayed
     // weights.  Decay is strictly negative, so discarded edges stay cycle
@@ -267,7 +272,7 @@ fn main() {
         while b == a {
             b = rng.random_range(0..n);
         }
-        if msf.engine.connected(a, b) {
+        if msf.engine.try_connected(a, b) == Ok(true) {
             let delta = -rng.random_range(1..=5_000i64);
             let path = msf.decay_corridor(a, b, delta);
             corridor_edges += path.len();

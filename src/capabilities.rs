@@ -136,8 +136,9 @@ pub fn capability_matrix() -> Vec<Capability> {
             name: "HDT connectivity",
             update_cost: "O(log^2 n) amortized",
             ternarized: false,
-            // the batch interface deduplicates and classifies in bulk but
-            // applies operations sequentially today
+            // insert pre-passes, delete classification and per-component
+            // replacement searches run on the pool, but backend links/cuts
+            // and the searches within one component stay sequential
             parallel_updates: false,
             parallel_queries: false,
             subtree_queries: false,

@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use ufo_trees::connectivity::{DynConnectivity, SpanningBackend};
+use ufo_trees::connectivity::{DynConnectivity, GraphOp, SpanningBackend};
 use ufo_trees::seqs::TreapSequence;
 use ufo_trees::workloads::{self, SyntheticTree};
 use ufo_trees::{EulerTourForest, LinkCutForest, NaiveForest, TopologyForest, UfoForest};
@@ -384,7 +384,7 @@ fn connectivity_agrees<B: SpanningBackend>(n: usize, steps: usize, seed: u64, ch
             let v = rng.random_range(0..n);
             let expected = oracle.insert(u, v);
             assert_eq!(
-                engine.insert_edge(u, v),
+                engine.try_insert_edge(u, v).is_ok(),
                 expected,
                 "[{}] insert ({u},{v}) step {step}",
                 B::NAME
@@ -397,7 +397,7 @@ fn connectivity_agrees<B: SpanningBackend>(n: usize, steps: usize, seed: u64, ch
             let (u, v) = live.swap_remove(idx);
             assert!(oracle.delete(u, v));
             assert!(
-                engine.delete_edge(u, v),
+                engine.try_delete_edge(u, v).is_ok(),
                 "[{}] delete ({u},{v}) step {step}",
                 B::NAME
             );
@@ -408,8 +408,8 @@ fn connectivity_agrees<B: SpanningBackend>(n: usize, steps: usize, seed: u64, ch
             let a = rng.random_range(0..n);
             let b = rng.random_range(0..n);
             assert_eq!(
-                engine.connected(a, b),
-                oracle.connected(a, b),
+                engine.try_connected(a, b),
+                Ok(oracle.connected(a, b)),
                 "[{}] connected({a},{b}) step {step}",
                 B::NAME
             );
@@ -471,18 +471,24 @@ fn connectivity_batch_matches_oracle_on_graph_workloads() {
     let mut engine: DynConnectivity<UfoForest> = DynConnectivity::new(graph.n);
     let mut oracle = GraphOracle::new(graph.n);
     for chunk in graph.edges.chunks(64) {
-        engine.batch_insert(chunk);
-        for &(u, v) in chunk {
-            oracle.insert(u, v);
-        }
+        let ops: Vec<GraphOp> = chunk
+            .iter()
+            .map(|&(u, v)| GraphOp::InsertEdge(u, v))
+            .collect();
+        let applied = engine.apply(&ops).applied;
+        let expected = chunk.iter().filter(|&&(u, v)| oracle.insert(u, v)).count();
+        assert_eq!(applied, expected);
         assert_eq!(engine.component_count(), oracle.component_count());
     }
     // tear down in batches
     for chunk in graph.edges.chunks(128) {
-        engine.batch_delete(chunk);
-        for &(u, v) in chunk {
-            oracle.delete(u, v);
-        }
+        let ops: Vec<GraphOp> = chunk
+            .iter()
+            .map(|&(u, v)| GraphOp::DeleteEdge(u, v))
+            .collect();
+        let applied = engine.apply(&ops).applied;
+        let expected = chunk.iter().filter(|&&(u, v)| oracle.delete(u, v)).count();
+        assert_eq!(applied, expected);
         assert_eq!(engine.component_count(), oracle.component_count());
     }
     assert_eq!(engine.num_edges(), 0);

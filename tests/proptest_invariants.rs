@@ -4,7 +4,7 @@
 //! invariant.
 
 use proptest::prelude::*;
-use ufo_trees::connectivity::DynConnectivity;
+use ufo_trees::connectivity::{DynConnectivity, GraphOp};
 use ufo_trees::{LinkCutForest, NaiveForest, UfoForest};
 
 /// A randomly generated operation on a small vertex universe.
@@ -129,15 +129,11 @@ proptest! {
         let mut ufo: DynConnectivity<UfoForest> = DynConnectivity::new(n);
         let mut naive: DynConnectivity<NaiveForest> = DynConnectivity::new(n);
         for (batch, kind) in batches {
-            if kind == 0 {
-                let a = ufo.batch_insert(&batch);
-                let b = naive.batch_insert(&batch);
-                prop_assert_eq!(a, b);
-            } else {
-                let a = ufo.batch_delete(&batch);
-                let b = naive.batch_delete(&batch);
-                prop_assert_eq!(a, b);
-            }
+            let ops: Vec<GraphOp> = batch
+                .iter()
+                .map(|&(u, v)| if kind == 0 { GraphOp::InsertEdge(u, v) } else { GraphOp::DeleteEdge(u, v) })
+                .collect();
+            prop_assert_eq!(ufo.apply(&ops).applied, naive.apply(&ops).applied);
             for g in [&mut ufo as &mut dyn ConnectivityProbe, &mut naive] {
                 prop_assert_eq!(
                     g.spanning_size(),
