@@ -1,6 +1,11 @@
-//! Recorded-baseline plumbing shared by the `*_baseline` binaries (which
-//! *write* `crates/bench/baselines/*.json`) and the `bench_gate` binary
-//! (which re-runs the same workloads and *compares* against those files).
+//! Recorded baselines: the workload registry ([`WORKLOADS`]), the row
+//! functions that measure each workload, the JSON files under
+//! `crates/bench/baselines/`, and the gate comparison.
+//!
+//! Every gated workload has exactly one measurement source — its registry
+//! row function.  The `baseline` binary runs it to *write* a file
+//! (`cargo run --release -p dyntree_bench --bin baseline -- <workload>`)
+//! and the `bench_gate` binary runs it again to *compare* against that file.
 //!
 //! The JSON schema is deliberately tiny — one flat object per measurement
 //! row, identity fields as strings/integers plus `*_per_s` throughput
@@ -9,13 +14,12 @@
 //! parser only ever meet files this module itself produced.
 
 use crate::{
-    batch_ops_apply_time_with, batch_ops_single_time, batch_ops_traces, bulk_component_update_time,
+    apply_time, batch_ops_single_time, batch_ops_traces, bulk_component_update_time,
     bulk_path_update_time, connectivity_bench_streams, memory_peak_of_trace,
-    parallel_scaling_apply_time, parallel_scaling_apply_time_rebuild,
     parallel_scaling_delete_trace, parallel_scaling_trace, serve_apply_time, serve_bench_mix,
     serve_plain_apply_time, serve_reader_query_time, stream_batch_replay_time, stream_replay_time,
     weighted_bench_forests, weighted_path_query_time, ConnBackend, WeightedBackend,
-    REBUILD_BENCH_THRESHOLD,
+    REBUILD_BENCH_THRESHOLD, SCALE_BATCH,
 };
 use dyntree_primitives::ParallelConfig;
 
@@ -97,6 +101,13 @@ impl Baseline {
         out
     }
 
+    /// Reads and parses a recorded baseline file.
+    pub fn load(path: &std::path::Path) -> Result<Baseline, String> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("unreadable baseline at {}: {e}", path.display()))?;
+        Baseline::parse(&text).map_err(|e| format!("unparsable baseline: {e}"))
+    }
+
     /// Parses a file produced by [`to_json`](Self::to_json).
     pub fn parse(text: &str) -> Result<Baseline, String> {
         let workload = scalar_field(text, "workload")
@@ -158,17 +169,130 @@ fn parse_row(body: &str) -> Result<BaselineRow, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Workload measurement (shared by the baseline recorders and the gate)
+// Workload registry and measurement (shared by `baseline` and `bench_gate`)
 // ---------------------------------------------------------------------------
 
-/// Repetitions per measurement (best-of); `DYNTREE_BENCH_REPS` overrides the
-/// default of 3 (the gate uses fewer to keep CI fast).
-pub fn bench_reps() -> usize {
-    std::env::var("DYNTREE_BENCH_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3)
+/// Best-of repetitions per cell when recording a baseline.
+pub const RECORD_REPS: usize = 3;
+
+/// Best-of repetitions per cell when the gate re-measures (fewer than the
+/// recorder, to keep CI fast).
+pub const GATE_REPS: usize = 2;
+
+/// How the gate judges a workload's ratios.
+#[derive(Clone, Copy, Debug)]
+pub enum Rule {
+    /// Median ratio within `BENCH_GATE_TOLERANCE` (noisy timing metrics).
+    Median,
+    /// Every cell within `MEM_GATE_TOLERANCE` (deterministic memory metrics).
+    EveryCell,
+}
+
+/// One gated workload: the name shared by its baseline file
+/// (`baselines/<name>.json`) and that file's `workload` field, the function
+/// that measures its rows at a given best-of repetition count, and the
+/// gate's rule for it.
+#[derive(Clone, Copy, Debug)]
+pub struct Workload {
+    /// Workload name (the baseline file stem).
+    pub name: &'static str,
+    /// Measures the rows, best of `reps` repetitions per timed cell.
+    pub rows: fn(usize) -> Vec<BaselineRow>,
+    /// How `bench_gate` judges the ratios.
+    pub rule: Rule,
+}
+
+impl Workload {
+    /// Measures the workload at `reps` best-of repetitions.
+    pub fn measure(&self, reps: usize) -> Baseline {
+        Baseline {
+            workload: self.name.to_string(),
+            results: (self.rows)(reps),
+        }
+    }
+
+    /// Path of the recorded baseline file.
+    pub fn baseline_path(&self) -> std::path::PathBuf {
+        baselines_dir().join(format!("{}.json", self.name))
+    }
+}
+
+/// Every gated workload, in the order `bench_gate` runs them.
+pub const WORKLOADS: [Workload; 7] = [
+    Workload {
+        name: "connectivity_stream",
+        rows: connectivity_stream_rows,
+        rule: Rule::Median,
+    },
+    Workload {
+        name: "batch_ops",
+        rows: batch_ops_rows,
+        rule: Rule::Median,
+    },
+    Workload {
+        name: "weighted_path_queries",
+        rows: weighted_path_query_rows,
+        rule: Rule::Median,
+    },
+    Workload {
+        name: "bulk_update",
+        rows: bulk_update_rows,
+        rule: Rule::Median,
+    },
+    Workload {
+        name: "parallel_scaling",
+        rows: parallel_scaling_rows,
+        rule: Rule::Median,
+    },
+    Workload {
+        name: "serve_throughput",
+        rows: serve_throughput_rows,
+        rule: Rule::Median,
+    },
+    Workload {
+        name: "memory_usage",
+        rows: memory_usage_rows,
+        rule: Rule::EveryCell,
+    },
+];
+
+/// The registry entry called `name`, if any.
+pub fn find_workload(name: &str) -> Option<&'static Workload> {
+    WORKLOADS.iter().find(|w| w.name == name)
+}
+
+/// Sizes the global pool at 8 workers before any measurement runs: the
+/// `threads=4/8` rows need that headroom whatever the host's
+/// `DYNTREE_THREADS` says, and each measurement caps its own fan-out via
+/// [`ParallelConfig`].
+pub fn init_bench_pool() {
+    let _ = rayon::ThreadPoolBuilder::new()
+        .num_threads(8)
+        .build_global();
+}
+
+/// Reads a gate tolerance from the environment variable `var`: `default`
+/// when it is unset, else a fraction in `[0, 1)`.
+///
+/// # Panics
+///
+/// On any other value, naming `var`: a typo such as `0,5` or `15%` must not
+/// silently fall back to the default and gate at a tolerance nobody asked
+/// for.
+pub fn tolerance_from_env(var: &str, default: f64) -> f64 {
+    let value = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
+    parse_tolerance(var, value.as_deref(), default)
+}
+
+/// [`tolerance_from_env`] on an already-read value (`None` = unset).
+fn parse_tolerance(var: &str, value: Option<&str>, default: f64) -> f64 {
+    let Some(value) = value else {
+        return default;
+    };
+    match value.trim().parse::<f64>() {
+        Ok(t) if (0.0..1.0).contains(&t) => t,
+        _ => panic!("{var} must be a fraction in [0, 1) such as 0.25, got {value:?}"),
+    }
 }
 
 fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
@@ -177,8 +301,7 @@ fn best_of(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
 
 /// Measures the `connectivity_stream` workload (per-stream, per-backend
 /// sequential and batch-64 replay throughput).
-pub fn connectivity_stream_rows() -> Baseline {
-    let reps = bench_reps();
+fn connectivity_stream_rows(reps: usize) -> Vec<BaselineRow> {
     let mut results = Vec::new();
     for stream in &connectivity_bench_streams() {
         let ops = stream.len() as f64;
@@ -198,17 +321,13 @@ pub fn connectivity_stream_rows() -> Baseline {
             });
         }
     }
-    Baseline {
-        workload: "connectivity_stream".into(),
-        results,
-    }
+    results
 }
 
 /// Measures the `batch_ops` workload: `apply` in 64- and 1024-op
 /// transactions at an effective width of 1 and 4 threads, plus the
 /// looped-singles reference on the 1-thread rows.
-pub fn batch_ops_rows() -> Baseline {
-    let reps = bench_reps();
+fn batch_ops_rows(reps: usize) -> Vec<BaselineRow> {
     let mut results = Vec::new();
     for (name, ops) in &batch_ops_traces() {
         let n = ops.len() as f64;
@@ -221,9 +340,7 @@ pub fn batch_ops_rows() -> Baseline {
                     metrics.push(("single_ops_per_s".into(), n / single));
                 }
                 for batch in [64usize, 1024] {
-                    let t = best_of(reps, || {
-                        batch_ops_apply_time_with(backend, ops, batch, cfg).0
-                    });
+                    let t = best_of(reps, || apply_time(backend, ops, batch, cfg).0);
                     metrics.push((format!("apply{batch}_ops_per_s"), n / t));
                 }
                 results.push(BaselineRow {
@@ -238,16 +355,12 @@ pub fn batch_ops_rows() -> Baseline {
             }
         }
     }
-    Baseline {
-        workload: "batch_ops".into(),
-        results,
-    }
+    results
 }
 
 /// Measures the `weighted_path_queries` workload (thread-independent: pure
 /// query/update stream through the aggregation layer).
-pub fn weighted_path_query_rows() -> Baseline {
-    let reps = bench_reps();
+fn weighted_path_query_rows(reps: usize) -> Vec<BaselineRow> {
     let queries = 1000usize;
     let mut results = Vec::new();
     for (label, forest) in &weighted_bench_forests() {
@@ -265,10 +378,7 @@ pub fn weighted_path_query_rows() -> Baseline {
             });
         }
     }
-    Baseline {
-        workload: "weighted_path_queries".into(),
-        results,
-    }
+    results
 }
 
 /// Measures the `bulk_update` workload: lazy `PathApply`/`ComponentApply`
@@ -281,8 +391,7 @@ pub fn weighted_path_query_rows() -> Baseline {
 /// the 2048-vertex path (where the eager leg can enumerate the corridor
 /// without engine help); the component rows re-weight a whole spanning
 /// tree per update.
-pub fn bulk_update_rows() -> Baseline {
-    let reps = bench_reps();
+fn bulk_update_rows(reps: usize) -> Vec<BaselineRow> {
     let (lazy_rounds, eager_rounds) = (20_000usize, 200usize);
     let mut results = Vec::new();
 
@@ -325,26 +434,21 @@ pub fn bulk_update_rows() -> Baseline {
             ],
         });
     }
-    Baseline {
-        workload: "bulk_update".into(),
-        results,
-    }
+    results
 }
 
 /// Measures the `parallel_scaling` workload: `apply` throughput over the
 /// insert-heavy and the delete-heavy 64k-op traces at effective widths
 /// 1/2/4/8 on one shared pool, plus the delete-heavy trace re-run under the
 /// rebuild-enabled config (`config=rebuild5` rows).
-pub fn parallel_scaling_rows() -> Baseline {
-    let reps = bench_reps();
+fn parallel_scaling_rows(reps: usize) -> Vec<BaselineRow> {
     let mut results = Vec::new();
     for (name, ops) in [parallel_scaling_trace(), parallel_scaling_delete_trace()] {
         let n = ops.len() as f64;
         for backend in [ConnBackend::Ufo, ConnBackend::LinkCut] {
             for threads in [1usize, 2, 4, 8] {
-                let t = best_of(reps, || {
-                    parallel_scaling_apply_time(backend, &ops, threads).0
-                });
+                let cfg = ParallelConfig::with_threads(threads);
+                let t = best_of(reps, || apply_time(backend, &ops, SCALE_BATCH, cfg).0);
                 results.push(BaselineRow {
                     id: vec![
                         ("trace".into(), name.clone()),
@@ -364,8 +468,10 @@ pub fn parallel_scaling_rows() -> Baseline {
     let (name, ops) = parallel_scaling_delete_trace();
     let n = ops.len() as f64;
     for threads in [1usize, 2, 4, 8] {
+        let cfg =
+            ParallelConfig::with_threads(threads).with_rebuild_threshold(REBUILD_BENCH_THRESHOLD);
         let t = best_of(reps, || {
-            parallel_scaling_apply_time_rebuild(ConnBackend::Ufo, &ops, threads).0
+            apply_time(ConnBackend::Ufo, &ops, SCALE_BATCH, cfg).0
         });
         results.push(BaselineRow {
             id: vec![
@@ -378,10 +484,7 @@ pub fn parallel_scaling_rows() -> Baseline {
             metrics: vec![("apply_ops_per_s".into(), n / t)],
         });
     }
-    Baseline {
-        workload: "parallel_scaling".into(),
-        results,
-    }
+    results
 }
 
 /// Measures the `serve_throughput` workload: the writer's apply+publish
@@ -390,8 +493,7 @@ pub fn parallel_scaling_rows() -> Baseline {
 /// query throughput at 1/2/8 reader threads under continuous writer churn.
 /// On a single-CPU host the reader rows measure interleaving, not
 /// parallelism — same caveat as `parallel_scaling`.
-pub fn serve_throughput_rows() -> Baseline {
-    let reps = bench_reps();
+fn serve_throughput_rows(reps: usize) -> Vec<BaselineRow> {
     let (trace, mix) = serve_bench_mix();
     let ops: usize = mix.writer_batches.iter().map(Vec::len).sum();
     let mut results = Vec::new();
@@ -426,10 +528,7 @@ pub fn serve_throughput_rows() -> Baseline {
             metrics: vec![("reader_query_ops_per_s".into(), queries / t)],
         });
     }
-    Baseline {
-        workload: "serve_throughput".into(),
-        results,
-    }
+    results
 }
 
 /// Measures the `memory_usage` workload: the engine's exact heap bytes per
@@ -438,7 +537,7 @@ pub fn serve_throughput_rows() -> Baseline {
 /// involved — the numbers are deterministic for a fixed trace — so the gate
 /// compares these rows cell-by-cell at a tight tolerance
 /// (`MEM_GATE_TOLERANCE`, default 15%) instead of by median.
-pub fn memory_usage_rows() -> Baseline {
+fn memory_usage_rows(_reps: usize) -> Vec<BaselineRow> {
     let mut results = Vec::new();
     for (name, ops) in [parallel_scaling_trace(), parallel_scaling_delete_trace()] {
         for backend in ConnBackend::ALL {
@@ -454,10 +553,7 @@ pub fn memory_usage_rows() -> Baseline {
             });
         }
     }
-    Baseline {
-        workload: "memory_usage".into(),
-        results,
-    }
+    results
 }
 
 // ---------------------------------------------------------------------------
@@ -697,6 +793,43 @@ mod tests {
         measured.results[0].id[1].1 = "999".into(); // ops drifted
         let report = compare(&recorded, &measured);
         assert!(report.missing.is_empty());
+    }
+
+    #[test]
+    fn every_baseline_file_has_exactly_one_registry_entry() {
+        let mut stems = Vec::new();
+        for entry in std::fs::read_dir(baselines_dir()).expect("baselines dir") {
+            let path = entry.expect("dir entry").path();
+            let stem = path.file_stem().unwrap().to_str().unwrap().to_string();
+            let owners = WORKLOADS.iter().filter(|w| w.name == stem).count();
+            assert_eq!(
+                owners,
+                1,
+                "{} has {owners} registry entries",
+                path.display()
+            );
+            let recorded = Baseline::load(&path).unwrap();
+            assert_eq!(recorded.workload, stem, "{}", path.display());
+            stems.push(stem);
+        }
+        for w in &WORKLOADS {
+            assert!(stems.iter().any(|s| s == w.name), "{} has no file", w.name);
+            assert_eq!(find_workload(w.name).map(|f| f.name), Some(w.name));
+        }
+    }
+
+    #[test]
+    fn tolerances_parse_strictly() {
+        assert_eq!(parse_tolerance("T", Some("0.1"), 0.25), 0.1);
+        assert_eq!(parse_tolerance("T", Some(" 0 "), 0.25), 0.0);
+        assert_eq!(parse_tolerance("T", None, 0.25), 0.25);
+        for bad in ["0,5", "1.5", "15%", "1", "-0.1", "NaN", ""] {
+            let err =
+                std::panic::catch_unwind(|| parse_tolerance("MEM_GATE_TOLERANCE", Some(bad), 0.15))
+                    .expect_err(bad);
+            let msg = err.downcast_ref::<String>().unwrap();
+            assert!(msg.contains("MEM_GATE_TOLERANCE"), "{msg}");
+        }
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Bench-regression gate: re-runs every recorded workload and fails (exit 1)
-//! when median throughput regresses more than the tolerance against the
-//! JSON baselines under `crates/bench/baselines/`.
+//! Bench-regression gate: re-runs every workload in the registry
+//! ([`dyntree_bench::baseline::WORKLOADS`]) and fails (exit 1) when median
+//! throughput regresses more than the tolerance against the JSON baselines
+//! under `crates/bench/baselines/`.
 //!
 //! Run with: `cargo run --release -p dyntree_bench --bin bench_gate`
 //!
 //! Per workload, every `*_per_s` metric of every baseline row is re-measured
-//! (same row-computation code the `*_baseline` binaries use) and turned into
-//! a `measured / recorded` ratio; the **median** ratio is compared against
+//! by the same registry row function the `baseline` recorder runs (best of
+//! 2 per cell here, 3 when recording) and turned into a
+//! `measured / recorded` ratio; the **median** ratio is compared against
 //! `1 - tolerance`, so a single noisy cell cannot flip the verdict while a
 //! real across-the-board regression still does.  Rows that vanish from the
 //! fresh measurement always fail.
@@ -16,70 +18,24 @@
 //! the median rule **every cell** must stay within the (much tighter)
 //! memory tolerance, and the ratio is inverted — memory improves downwards.
 //!
-//! Environment knobs:
+//! Environment knobs (each must be a fraction in `[0, 1)`; anything else
+//! panics rather than silently gating at the default):
 //! * `BENCH_GATE_TOLERANCE` — allowed median throughput drop, default
 //!   `0.25`.  CI runners are slower and noisier than the machine that
 //!   recorded a baseline; the median plus a wide tolerance absorbs that,
-//!   and the baselines should be re-recorded (`*_baseline` binaries)
+//!   and the baselines should be re-recorded with the `baseline` binary
 //!   whenever a deliberate perf-relevant change lands.
 //! * `MEM_GATE_TOLERANCE` — allowed per-cell bytes-per-edge growth,
 //!   default `0.15`.
-//! * `DYNTREE_BENCH_REPS` — best-of repetitions per cell, default 2 here
-//!   (the recorders default to 3).
 
 use dyntree_bench::baseline::{
-    baselines_dir, batch_ops_rows, bulk_update_rows, compare, connectivity_stream_rows,
-    memory_usage_rows, parallel_scaling_rows, serve_throughput_rows, weighted_path_query_rows,
-    Baseline,
+    compare, init_bench_pool, tolerance_from_env, Baseline, Rule, GATE_REPS, WORKLOADS,
 };
 
-/// How a workload's ratios are judged.
-#[derive(Clone, Copy, PartialEq)]
-enum Rule {
-    /// Median ratio within `BENCH_GATE_TOLERANCE` (noisy timing metrics).
-    Median,
-    /// Every cell within `MEM_GATE_TOLERANCE` (deterministic memory metrics).
-    EveryCell,
-}
-
-/// A baseline file name paired with its re-measurement function and rule.
-type Workload = (&'static str, fn() -> Baseline, Rule);
-
 fn main() {
-    // The threads=4/8 rows need pool headroom; per-measurement caps come
-    // from ParallelConfig.
-    let _ = rayon::ThreadPoolBuilder::new()
-        .num_threads(8)
-        .build_global();
-    if std::env::var("DYNTREE_BENCH_REPS").is_err() {
-        std::env::set_var("DYNTREE_BENCH_REPS", "2");
-    }
-    let tolerance: f64 = std::env::var("BENCH_GATE_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.25);
-    let mem_tolerance: f64 = std::env::var("MEM_GATE_TOLERANCE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.15);
-
-    let workloads: [Workload; 7] = [
-        (
-            "connectivity_stream.json",
-            connectivity_stream_rows,
-            Rule::Median,
-        ),
-        ("batch_ops.json", batch_ops_rows, Rule::Median),
-        (
-            "weighted_path_queries.json",
-            weighted_path_query_rows,
-            Rule::Median,
-        ),
-        ("bulk_update.json", bulk_update_rows, Rule::Median),
-        ("parallel_scaling.json", parallel_scaling_rows, Rule::Median),
-        ("serve_throughput.json", serve_throughput_rows, Rule::Median),
-        ("memory_usage.json", memory_usage_rows, Rule::EveryCell),
-    ];
+    init_bench_pool();
+    let tolerance = tolerance_from_env("BENCH_GATE_TOLERANCE", 0.25);
+    let mem_tolerance = tolerance_from_env("MEM_GATE_TOLERANCE", 0.15);
 
     let mut failed = false;
     println!(
@@ -87,28 +43,17 @@ fn main() {
         tolerance * 100.0,
         mem_tolerance * 100.0
     );
-    for (file, measure, rule) in workloads {
-        let path = baselines_dir().join(file);
-        let recorded = match std::fs::read_to_string(&path) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    println!("FAIL {file}: unparsable baseline: {e}");
-                    failed = true;
-                    continue;
-                }
-            },
+    for workload in &WORKLOADS {
+        let recorded = match Baseline::load(&workload.baseline_path()) {
+            Ok(b) => b,
             Err(e) => {
-                println!(
-                    "FAIL {file}: unreadable baseline at {}: {e}",
-                    path.display()
-                );
+                println!("FAIL {}: {e}", workload.name);
                 failed = true;
                 continue;
             }
         };
-        let report = compare(&recorded, &measure());
-        let ok = match rule {
+        let report = compare(&recorded, &workload.measure(GATE_REPS));
+        let ok = match workload.rule {
             Rule::Median => report.passes(tolerance),
             Rule::EveryCell => report.passes_every_cell(mem_tolerance),
         };
@@ -143,8 +88,9 @@ fn main() {
         println!(
             "     A *uniform* drop across workloads usually means this host is \
              simply slower than the one that recorded the baselines — re-record \
-             them there (`*_baseline` binaries) or raise BENCH_GATE_TOLERANCE; \
-             a drop concentrated in one workload is a real regression."
+             them there (`baseline <workload>` binary) or raise \
+             BENCH_GATE_TOLERANCE; a drop concentrated in one workload is a real \
+             regression."
         );
         std::process::exit(1);
     }

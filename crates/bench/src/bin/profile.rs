@@ -1,5 +1,7 @@
 //! `profile` — replay a SCALE or fuzz trace with telemetry enabled and print
-//! a per-phase, per-backend breakdown (plus machine-readable JSON).
+//! a per-phase, per-backend breakdown (plus machine-readable JSON).  Each
+//! phase row shows its total time and its self time: the total minus the
+//! sum over its named child phases.
 //!
 //! Requires the `telemetry` cargo feature:
 //!
@@ -33,18 +35,15 @@ fn main() {
 
 #[cfg(feature = "telemetry")]
 mod telemetry_main {
-    use std::time::Instant;
-
-    use dyntree_bench::{parallel_scaling_delete_trace, parallel_scaling_trace, ConnBackend};
+    use dyntree_bench::{
+        apply_in_chunks, on_conn_backend, parallel_scaling_delete_trace, parallel_scaling_trace,
+        ConnBackend, SCALE_BATCH,
+    };
     use dyntree_connectivity::{DynConnectivity, MemoryBreakdown, SpanningBackend};
-    use dyntree_euler::EulerTourForest;
-    use dyntree_linkcut::LinkCutForest;
     use dyntree_primitives::algebra::SumMinMax;
     use dyntree_primitives::telemetry::{Telemetry, TelemetrySnapshot};
     use dyntree_primitives::{GraphOp, ParallelConfig};
-    use dyntree_seqs::{SplaySequence, TreapSequence};
     use dyntree_workloads::FuzzTraceGen;
-    use ufo_forest::UfoForest;
 
     struct Args {
         trace: String,
@@ -63,7 +62,7 @@ mod telemetry_main {
         let mut out = Args {
             trace: "SCALE-DEL-64k".to_string(),
             backends: ConnBackend::ALL.to_vec(),
-            batch: 8192,
+            batch: SCALE_BATCH,
             threads: None,
             seed: 1,
             ops: 60_000,
@@ -130,31 +129,13 @@ mod telemetry_main {
         let mut engine: DynConnectivity<B> = DynConnectivity::new(0)
             .with_parallel_config(cfg)
             .with_telemetry(Telemetry::enabled());
-        let mut applied = 0u64;
-        let start = Instant::now();
-        for chunk in ops.chunks(batch.max(1)) {
-            applied += engine.apply(chunk).applied as u64;
-        }
-        let wall_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let (wall, applied) = apply_in_chunks(&mut engine, ops, batch);
         Run {
             backend: name,
-            wall_nanos,
-            applied: std::hint::black_box(applied),
+            wall_nanos: u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX),
+            applied,
             snapshot: engine.telemetry_snapshot().expect("telemetry enabled"),
             memory: engine.memory_breakdown(),
-        }
-    }
-
-    fn dispatch(backend: ConnBackend, ops: &[GraphOp], batch: usize, cfg: ParallelConfig) -> Run {
-        match backend {
-            ConnBackend::Ufo => profile_backend::<UfoForest>("ufo", ops, batch, cfg),
-            ConnBackend::LinkCut => profile_backend::<LinkCutForest>("linkcut", ops, batch, cfg),
-            ConnBackend::EulerTreap => {
-                profile_backend::<EulerTourForest<TreapSequence>>("euler-treap", ops, batch, cfg)
-            }
-            ConnBackend::EulerSplay => {
-                profile_backend::<EulerTourForest<SplaySequence>>("euler-splay", ops, batch, cfg)
-            }
         }
     }
 
@@ -162,17 +143,20 @@ mod telemetry_main {
         nanos as f64 / 1e6
     }
 
+    /// Summed time of `phase`'s direct children.
+    fn children_nanos(run: &Run, phase: &str) -> u64 {
+        run.snapshot
+            .phases
+            .iter()
+            .filter(|p| p.parent == Some(phase))
+            .map(|p| p.nanos)
+            .sum()
+    }
+
     /// Share of wall time attributed to `apply`'s direct children (the named
     /// top-level phases).
     fn attributed_fraction(run: &Run) -> f64 {
-        let children: u64 = run
-            .snapshot
-            .phases
-            .iter()
-            .filter(|p| p.parent == Some("apply"))
-            .map(|p| p.nanos)
-            .sum();
-        children as f64 / run.wall_nanos.max(1) as f64
+        children_nanos(run, "apply") as f64 / run.wall_nanos.max(1) as f64
     }
 
     fn print_run(run: &Run) {
@@ -184,8 +168,8 @@ mod telemetry_main {
             100.0 * attributed_fraction(run)
         );
         println!(
-            "{:<28} {:>12} {:>7} {:>10}",
-            "phase", "ms", "%wall", "enters"
+            "{:<28} {:>12} {:>12} {:>7} {:>10}",
+            "phase", "ms", "self ms", "%wall", "enters"
         );
         for p in &run.snapshot.phases {
             let depth = {
@@ -197,10 +181,13 @@ mod telemetry_main {
                 }
                 d
             };
+            // exclusive time: what the phase spent outside every named child
+            let self_nanos = p.nanos.saturating_sub(children_nanos(run, p.phase));
             println!(
-                "{:<28} {:>12.2} {:>6.1}% {:>10}",
+                "{:<28} {:>12.2} {:>12.2} {:>6.1}% {:>10}",
                 format!("{}{}", "  ".repeat(depth), p.phase),
                 ms(p.nanos),
+                ms(self_nanos),
                 100.0 * p.nanos as f64 / run.wall_nanos.max(1) as f64,
                 p.enters
             );
@@ -241,13 +228,7 @@ mod telemetry_main {
         // 2. phase times nest: children sum to ≤ the parent (5% slack for
         //    timer overhead), and the root phase fits inside the wall time
         for parent in &run.snapshot.phases {
-            let children: u64 = run
-                .snapshot
-                .phases
-                .iter()
-                .filter(|p| p.parent == Some(parent.phase))
-                .map(|p| p.nanos)
-                .sum();
+            let children = children_nanos(run, parent.phase);
             if children as f64 > parent.nanos as f64 * 1.05 + 1e6 {
                 bad.push(format!(
                     "{}: children of {} sum to {} ns > parent {} ns",
@@ -317,7 +298,10 @@ mod telemetry_main {
         let mut runs = Vec::new();
         for backend in &args.backends {
             rayon::reset_global_pool_metrics();
-            let run = dispatch(*backend, &ops, args.batch, cfg);
+            let run = on_conn_backend!(
+                *backend,
+                profile_backend(backend.name(), &ops, args.batch, cfg)
+            );
             let pool = rayon::global_pool_metrics();
             print_run(&run);
             println!(

@@ -1,5 +1,5 @@
-//! Benchmark harness shared by the figure/table binaries and the criterion
-//! benches.
+//! Benchmark harness shared by the figure/table binaries, the baseline
+//! recorder and gate ([`baseline`]), and the criterion benches.
 //!
 //! Every structure is driven through the [`DynTree`] adapter so that each
 //! experiment applies *exactly* the same operation stream to every contender.
@@ -7,7 +7,7 @@
 //! as the corresponding figure of the paper; `EXPERIMENTS.md` records the
 //! paper-reported shape next to the numbers measured here.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dyntree_euler::EulerTourForest;
 use dyntree_linkcut::LinkCutForest;
@@ -278,9 +278,9 @@ use dyntree_connectivity::{DynConnectivity, OpOf, SpanningBackend};
 use dyntree_workloads::{EdgeStream, StreamOp};
 
 /// The two canonical edge streams of the connectivity benchmarks — the
-/// single source of truth shared by `benches/connectivity_stream.rs` and the
-/// `connectivity_baseline` binary, so the recorded baseline JSON always
-/// measures exactly the workload the criterion bench measures.
+/// single source of truth for the `connectivity_stream` and `batch_ops`
+/// workloads, so the `baseline` recorder and `bench_gate` always replay the
+/// same inputs.
 pub fn connectivity_bench_streams() -> Vec<EdgeStream> {
     use dyntree_workloads::{churn_stream, road_grid_graph, sliding_window_stream, temporal_graph};
     let temporal = temporal_graph(4_000, 3, 17);
@@ -322,6 +322,25 @@ impl ConnBackend {
             ConnBackend::EulerSplay => "euler-splay",
         }
     }
+}
+
+/// Calls the generic function `f::<B>(args…)` with `B` the spanning-forest
+/// type behind a [`ConnBackend`] value: the one place the bench crate turns
+/// a backend name into a concrete [`SpanningBackend`].
+#[macro_export]
+macro_rules! on_conn_backend {
+    ($backend:expr, $f:ident($($arg:expr),* $(,)?)) => {
+        match $backend {
+            $crate::ConnBackend::Ufo => $f::<::ufo_forest::UfoForest>($($arg),*),
+            $crate::ConnBackend::LinkCut => $f::<::dyntree_linkcut::LinkCutForest>($($arg),*),
+            $crate::ConnBackend::EulerTreap => $f::<
+                ::dyntree_euler::EulerTourForest<::dyntree_seqs::TreapSequence>,
+            >($($arg),*),
+            $crate::ConnBackend::EulerSplay => $f::<
+                ::dyntree_euler::EulerTourForest<::dyntree_seqs::SplaySequence>,
+            >($($arg),*),
+        }
+    };
 }
 
 fn replay<B: SpanningBackend>(stream: &EdgeStream) -> (f64, u64) {
@@ -386,12 +405,7 @@ fn replay_batched<B: SpanningBackend>(stream: &EdgeStream, batch: usize) -> (f64
 /// Replays `stream` one operation at a time on `backend`; returns elapsed
 /// seconds and a checksum of the query answers.
 pub fn stream_replay_time(backend: ConnBackend, stream: &EdgeStream) -> (f64, u64) {
-    match backend {
-        ConnBackend::Ufo => replay::<UfoForest>(stream),
-        ConnBackend::LinkCut => replay::<LinkCutForest>(stream),
-        ConnBackend::EulerTreap => replay::<EulerTourForest<TreapSequence>>(stream),
-        ConnBackend::EulerSplay => replay::<EulerTourForest<SplaySequence>>(stream),
-    }
+    on_conn_backend!(backend, replay(stream))
 }
 
 /// Replays `stream` as `apply` transactions of up to `batch` ops (each query
@@ -401,18 +415,14 @@ pub fn stream_batch_replay_time(
     stream: &EdgeStream,
     batch: usize,
 ) -> (f64, u64) {
-    match backend {
-        ConnBackend::Ufo => replay_batched::<UfoForest>(stream, batch),
-        ConnBackend::LinkCut => replay_batched::<LinkCutForest>(stream, batch),
-        ConnBackend::EulerTreap => replay_batched::<EulerTourForest<TreapSequence>>(stream, batch),
-        ConnBackend::EulerSplay => replay_batched::<EulerTourForest<SplaySequence>>(stream, batch),
-    }
+    on_conn_backend!(backend, replay_batched(stream, batch))
 }
 
 // ------------------------------------------------------------------
 // GraphOp transaction harness (apply vs looped single ops)
 // ------------------------------------------------------------------
 
+use dyntree_primitives::algebra::SumMinMax;
 use dyntree_primitives::ops::GraphOp;
 use dyntree_primitives::ParallelConfig;
 
@@ -428,24 +438,33 @@ pub fn batch_ops_traces() -> Vec<(String, Vec<GraphOp>)> {
         .collect()
 }
 
-fn apply_ops<B: SpanningBackend<Weights = dyntree_primitives::algebra::SumMinMax>>(
+/// Applies `ops` to `engine` in transactions of `batch` ops; returns the
+/// elapsed wall time and the number of ops the engine applied.
+pub fn apply_in_chunks<B: SpanningBackend<Weights = SumMinMax>>(
+    engine: &mut DynConnectivity<B>,
     ops: &[GraphOp],
     batch: usize,
-    cfg: ParallelConfig,
-) -> (f64, u64) {
-    let mut engine: DynConnectivity<B> = DynConnectivity::new(0).with_parallel_config(cfg);
+) -> (Duration, u64) {
     let mut applied = 0u64;
     let start = Instant::now();
     for chunk in ops.chunks(batch.max(1)) {
         applied += engine.apply(chunk).applied as u64;
     }
-    applied = applied.wrapping_add(engine.component_count() as u64);
-    (start.elapsed().as_secs_f64(), std::hint::black_box(applied))
+    (start.elapsed(), std::hint::black_box(applied))
 }
 
-fn single_ops<B: SpanningBackend<Weights = dyntree_primitives::algebra::SumMinMax>>(
+fn apply_ops<B: SpanningBackend<Weights = SumMinMax>>(
     ops: &[GraphOp],
+    batch: usize,
+    cfg: ParallelConfig,
 ) -> (f64, u64) {
+    let mut engine: DynConnectivity<B> = DynConnectivity::new(0).with_parallel_config(cfg);
+    let (elapsed, applied) = apply_in_chunks(&mut engine, ops, batch);
+    let checksum = applied.wrapping_add(engine.component_count() as u64);
+    (elapsed.as_secs_f64(), std::hint::black_box(checksum))
+}
+
+fn single_ops<B: SpanningBackend<Weights = SumMinMax>>(ops: &[GraphOp]) -> (f64, u64) {
     let mut engine: DynConnectivity<B> = DynConnectivity::new(0);
     let mut applied = 0u64;
     let start = Instant::now();
@@ -470,27 +489,18 @@ fn single_ops<B: SpanningBackend<Weights = dyntree_primitives::algebra::SumMinMa
     (start.elapsed().as_secs_f64(), std::hint::black_box(applied))
 }
 
-/// Applies `ops` in transactions of `batch` ops through `apply`; returns
-/// elapsed seconds and a checksum (applied count + final components).
-pub fn batch_ops_apply_time(backend: ConnBackend, ops: &[GraphOp], batch: usize) -> (f64, u64) {
-    batch_ops_apply_time_with(backend, ops, batch, ParallelConfig::default())
-}
-
-/// [`batch_ops_apply_time`] with explicit [`ParallelConfig`] tunables — the
-/// thread-scaling benchmarks sweep `cfg.threads` over one shared pool, so a
-/// single process can measure the same workload at several effective widths.
-pub fn batch_ops_apply_time_with(
+/// Applies `ops` in transactions of `batch` ops through `apply` under the
+/// tunables `cfg`; returns elapsed seconds and a checksum (applied count +
+/// final components).  The scaling rows sweep `cfg.threads` over one shared
+/// pool, so a single process measures the same workload at several
+/// effective widths.
+pub fn apply_time(
     backend: ConnBackend,
     ops: &[GraphOp],
     batch: usize,
     cfg: ParallelConfig,
 ) -> (f64, u64) {
-    match backend {
-        ConnBackend::Ufo => apply_ops::<UfoForest>(ops, batch, cfg),
-        ConnBackend::LinkCut => apply_ops::<LinkCutForest>(ops, batch, cfg),
-        ConnBackend::EulerTreap => apply_ops::<EulerTourForest<TreapSequence>>(ops, batch, cfg),
-        ConnBackend::EulerSplay => apply_ops::<EulerTourForest<SplaySequence>>(ops, batch, cfg),
-    }
+    on_conn_backend!(backend, apply_ops(ops, batch, cfg))
 }
 
 // ------------------------------------------------------------------
@@ -607,36 +617,12 @@ pub fn parallel_scaling_delete_trace() -> (String, Vec<GraphOp>) {
     ("SCALE-DEL-64k".to_string(), ops)
 }
 
-/// Applies the scaling trace in 8192-op transactions with the fan-out
-/// capped at `threads`; returns elapsed seconds and a checksum.  The
-/// checksum is thread-count-invariant — the determinism tests rely on it.
-pub fn parallel_scaling_apply_time(
-    backend: ConnBackend,
-    ops: &[GraphOp],
-    threads: usize,
-) -> (f64, u64) {
-    batch_ops_apply_time_with(backend, ops, 8192, ParallelConfig::with_threads(threads))
-}
+/// The transaction size the 64k-op scaling traces are applied in.
+pub const SCALE_BATCH: usize = 8192;
 
 /// The rebuild-threshold percent the delete-heavy gate leg and the recorded
 /// baselines arm the escape hatch at.
 pub const REBUILD_BENCH_THRESHOLD: usize = 5;
-
-/// Like [`parallel_scaling_apply_time`], with the rebuild escape hatch armed
-/// at [`REBUILD_BENCH_THRESHOLD`] percent — the relaxed canonical-outcome
-/// config, so the checksum is *not* comparable against the hatch-off runs.
-pub fn parallel_scaling_apply_time_rebuild(
-    backend: ConnBackend,
-    ops: &[GraphOp],
-    threads: usize,
-) -> (f64, u64) {
-    batch_ops_apply_time_with(
-        backend,
-        ops,
-        8192,
-        ParallelConfig::with_threads(threads).with_rebuild_threshold(REBUILD_BENCH_THRESHOLD),
-    )
-}
 
 /// Applies the whole trace in 8192-op transactions, sampling the engine's
 /// exact heap footprint (`memory_breakdown().total()`) at every transaction
@@ -647,12 +633,10 @@ pub fn parallel_scaling_apply_time_rebuild(
 /// Memory, unlike throughput, is deterministic for a fixed trace, so the
 /// gate can hold these rows to a much tighter tolerance.
 pub fn memory_peak_of_trace(backend: ConnBackend, ops: &[GraphOp]) -> (usize, usize) {
-    fn run<B: SpanningBackend<Weights = dyntree_primitives::algebra::SumMinMax>>(
-        ops: &[GraphOp],
-    ) -> (usize, usize) {
+    fn run<B: SpanningBackend<Weights = SumMinMax>>(ops: &[GraphOp]) -> (usize, usize) {
         let mut engine: DynConnectivity<B> = DynConnectivity::new(0);
         let (mut peak_bytes, mut peak_edges) = (0usize, 0usize);
-        for chunk in ops.chunks(8192) {
+        for chunk in ops.chunks(SCALE_BATCH) {
             engine.apply(chunk);
             let edges = engine.num_edges();
             if edges >= peak_edges {
@@ -662,23 +646,13 @@ pub fn memory_peak_of_trace(backend: ConnBackend, ops: &[GraphOp]) -> (usize, us
         }
         (peak_bytes, peak_edges)
     }
-    match backend {
-        ConnBackend::Ufo => run::<UfoForest>(ops),
-        ConnBackend::LinkCut => run::<LinkCutForest>(ops),
-        ConnBackend::EulerTreap => run::<EulerTourForest<TreapSequence>>(ops),
-        ConnBackend::EulerSplay => run::<EulerTourForest<SplaySequence>>(ops),
-    }
+    on_conn_backend!(backend, run(ops))
 }
 
 /// Applies `ops` one `try_*` call at a time (the looped-singles baseline the
 /// `batch_ops` bench compares `apply` against).
 pub fn batch_ops_single_time(backend: ConnBackend, ops: &[GraphOp]) -> (f64, u64) {
-    match backend {
-        ConnBackend::Ufo => single_ops::<UfoForest>(ops),
-        ConnBackend::LinkCut => single_ops::<LinkCutForest>(ops),
-        ConnBackend::EulerTreap => single_ops::<EulerTourForest<TreapSequence>>(ops),
-        ConnBackend::EulerSplay => single_ops::<EulerTourForest<SplaySequence>>(ops),
-    }
+    on_conn_backend!(backend, single_ops(ops))
 }
 
 // ------------------------------------------------------------------
@@ -736,7 +710,7 @@ impl WeightedBackend {
 
 fn weighted_replay<B>(forest: &Forest, queries: usize, seed: u64) -> (f64, u64)
 where
-    B: SpanningBackend<Weights = ufo_forest::SumMinMax>,
+    B: SpanningBackend<Weights = SumMinMax>,
 {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -906,9 +880,7 @@ pub fn serve_reader_query_time(mix: &ServeMix, readers: usize) -> (f64, u64) {
 
 /// Builds a weighted engine over `forest` carrying the deterministic
 /// initial weight table the weighted benches use, in one `apply`.
-fn weighted_engine<B: SpanningBackend<Weights = ufo_forest::SumMinMax>>(
-    forest: &Forest,
-) -> DynConnectivity<B> {
+fn weighted_engine<B: SpanningBackend<Weights = SumMinMax>>(forest: &Forest) -> DynConnectivity<B> {
     let mut engine: DynConnectivity<B> = DynConnectivity::new(forest.n);
     let ops: Vec<GraphOp> = forest
         .edges
@@ -931,7 +903,7 @@ fn weighted_engine<B: SpanningBackend<Weights = ufo_forest::SumMinMax>>(
 /// therefore these checksums — must agree; the readback also forces every
 /// pending lazy tag down, so the lazy leg cannot cheat by leaving work
 /// undone in the tags.
-fn weight_table_checksum<B: SpanningBackend<Weights = ufo_forest::SumMinMax>>(
+fn weight_table_checksum<B: SpanningBackend<Weights = SumMinMax>>(
     engine: &mut DynConnectivity<B>,
 ) -> u64 {
     (0..engine.len()).fold(0u64, |acc, v| {

@@ -51,9 +51,22 @@ pub struct DynConnectivity<B: SpanningBackend> {
     pub(crate) version: u64,
 }
 
+/// Panics unless `n` vertices fit the u32 id storage every structure uses.
+fn assert_id_space(n: usize) {
+    assert!(
+        n <= MAX_VERTICES,
+        "vertex count {n} exceeds the u32 id space ({MAX_VERTICES} vertices)"
+    );
+}
+
 impl<B: SpanningBackend> DynConnectivity<B> {
     /// An empty graph over `n` isolated vertices.
+    ///
+    /// # Panics
+    ///
+    /// If `n` exceeds [`MAX_VERTICES`], before anything is allocated.
     pub fn new(n: usize) -> Self {
+        assert_id_space(n);
         Self {
             n,
             backend: B::new(n),
@@ -143,10 +156,7 @@ impl<B: SpanningBackend> DynConnectivity<B> {
         if n <= self.n {
             return;
         }
-        assert!(
-            n <= MAX_VERTICES,
-            "vertex count {n} exceeds the u32 id space ({MAX_VERTICES} vertices)"
-        );
+        assert_id_space(n);
         self.backend.ensure_vertices(n);
         self.adj.ensure_vertices(n);
         self.mark.resize(n, 0);
@@ -903,6 +913,12 @@ mod tests {
         triangle_replacement::<dyntree_euler::EulerTourForest<dyntree_seqs::TreapSequence>>();
         triangle_replacement::<ufo_forest::TopologyForest>();
         triangle_replacement::<dyntree_naive::NaiveForest>();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the u32 id space")]
+    fn new_refuses_more_vertices_than_u32_ids() {
+        let _ = UfoConnectivity::new(MAX_VERTICES + 1);
     }
 
     #[test]

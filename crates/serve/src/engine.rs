@@ -46,6 +46,11 @@ pub struct ServingEngine<B: SpanningBackend> {
 impl<B: SpanningBackend> ServingEngine<B> {
     /// A serving engine over `n` isolated vertices, with the epoch-0
     /// bootstrap snapshot already published.
+    ///
+    /// # Panics
+    ///
+    /// If `n` exceeds [`MAX_VERTICES`](dyntree_primitives::ops::MAX_VERTICES),
+    /// before anything is allocated (the engine is built first and checks).
     pub fn new(n: usize) -> Self {
         let engine: DynConnectivity<B> = DynConnectivity::new(n);
         let weights = vec![WeightOf::<B::Weights>::default(); n];

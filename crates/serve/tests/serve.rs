@@ -278,6 +278,12 @@ fn every_epoch_matches_the_oracle_sequentially() {
 }
 
 #[test]
+#[should_panic(expected = "exceeds the u32 id space")]
+fn new_refuses_more_vertices_than_u32_ids() {
+    let _ = UfoServingEngine::new(dyntree_primitives::ops::MAX_VERTICES + 1);
+}
+
+#[test]
 fn serving_works_over_the_oracle_backend_too() {
     // same trace, naive spanning backend: publication is backend-agnostic —
     // and this backend *supports* component applies, so the shadow table must
