@@ -13,9 +13,9 @@ fn main() {
     );
     println!("-- synthetic trees --");
     for family in SyntheticTree::ALL {
-        // star-like inputs are scaled down: without the paper's rank-tree
-        // optimisation, bulk deletions at very high fan-out are quadratic
-        // (see EXPERIMENTS.md).
+        // star-like inputs are scaled down: every cut scans the hub's
+        // adjacency list (`remove_adj`), so bulk deletions at very high
+        // fan-out are still quadratic in the hub degree (EXPERIMENTS.md).
         let n_eff = match family {
             SyntheticTree::Star | SyntheticTree::Dandelion => n.min(20_000),
             _ => n,

@@ -14,6 +14,7 @@
 //! end of each update.
 
 use dyntree_primitives::algebra::SumMinMax;
+use dyntree_primitives::hash::FxHashMap;
 
 use crate::summary::{Agg, CommutativeMonoid, Summary};
 use crate::{ClusterId, Vertex, INF_DIST, NIL32};
@@ -24,6 +25,22 @@ pub(crate) fn narrow(x: usize) -> u32 {
     debug_assert!(x < NIL32 as usize, "cluster id {x} exceeds u32 storage");
     x as u32
 }
+
+/// The id of a cluster pushed onto a slab that holds `len` clusters.  Ids are
+/// stored as `u32` with `NIL32` reserved, so a slab that would reach the
+/// sentinel is a hard error in every build instead of a silent wrap.
+fn slab_id(len: usize) -> u32 {
+    assert!(
+        len < NIL32 as usize,
+        "cluster slab exhausted: id {len} would reach the u32 sentinel"
+    );
+    len as u32
+}
+
+/// Pendant children per fold block.  A cluster with more than `B` children
+/// caches one [`Fold`] per block of `B` pendant slots (DESIGN.md §2), so an
+/// update at a hub re-folds `O(B + log f)` children instead of all `f`.
+const B: usize = 32;
 
 /// Which contraction rules the engine uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,6 +82,9 @@ pub struct Cluster<M: CommutativeMonoid = SumMinMax> {
     pub level: u32,
     /// Whether the cluster is live (false for freed slots).
     pub alive: bool,
+    /// Index of this cluster in `parent.children` (meaningless for roots).
+    /// A cluster with fan-out ≥ 3 keeps its hub at slot 0.
+    pub slot: u32,
     /// Adjacent clusters at this level (one entry per incident original edge
     /// whose other endpoint lies in a different cluster at this level).
     pub neighbors: Vec<AdjEntry>,
@@ -80,6 +100,7 @@ impl<M: CommutativeMonoid> Cluster<M> {
             parent: NIL32,
             level: 0,
             alive: true,
+            slot: 0,
             neighbors: Vec::new(),
             children: Vec::new(),
             summary,
@@ -142,6 +163,238 @@ impl<M: CommutativeMonoid> std::ops::IndexMut<usize> for ClusterSlab<M> {
     }
 }
 
+/// The two best values of a pendant statistic, each with the child that
+/// produced it, so a parent can leave out the child holding one of its
+/// boundary vertices.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Top2 {
+    val: [u64; 2],
+    who: [u32; 2],
+}
+
+impl Top2 {
+    /// Empty, for depths (larger is better; a real depth is at least 1).
+    const NO_DEPTH: Top2 = Top2 {
+        val: [0, 0],
+        who: [NIL32, NIL32],
+    };
+    /// Empty, for distances (smaller is better).
+    const NO_NEAR: Top2 = Top2 {
+        val: [u64::MAX, u64::MAX],
+        who: [NIL32, NIL32],
+    };
+
+    fn offer(&mut self, val: u64, who: u32, better: fn(u64, u64) -> bool) {
+        if better(val, self.val[0]) {
+            self.val = [val, self.val[0]];
+            self.who = [who, self.who[0]];
+        } else if better(val, self.val[1]) {
+            self.val[1] = val;
+            self.who[1] = who;
+        }
+    }
+
+    fn merge(mut self, other: &Top2, better: fn(u64, u64) -> bool) -> Top2 {
+        for i in 0..2 {
+            if other.who[i] != NIL32 {
+                self.offer(other.val[i], other.who[i], better);
+            }
+        }
+        self
+    }
+
+    /// The best value not produced by `child` (`NIL32` excludes nothing).
+    fn without(&self, child: u32) -> u64 {
+        if child != NIL32 && self.who[0] == child {
+            self.val[1]
+        } else {
+            self.val[0]
+        }
+    }
+}
+
+fn deeper(a: u64, b: u64) -> bool {
+    a > b
+}
+
+fn nearer(a: u64, b: u64) -> bool {
+    a < b
+}
+
+/// The fold of a run of pendant children (every child of a cluster but the
+/// hub at slot 0).  Merging is associative, so blocks fold independently and
+/// combine up a tree; the parent summary is the hub summary combined with the
+/// fold of all pendants ([`ContractionForest::compute_summary`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Fold<M: CommutativeMonoid> {
+    sub: Agg<M>,
+    vertices: u64,
+    /// Largest pendant diameter.
+    diam: u64,
+    /// Per hub boundary index: the deepest pendants attached there (1 + the
+    /// pendant's eccentricity from its attach vertex).
+    deep: [Top2; 2],
+    /// Per hub boundary index: the nearest marked vertex through each
+    /// pendant attached there (1 + the pendant's nearest-marked distance
+    /// from its attach vertex).
+    near: [Top2; 2],
+}
+
+impl<M: CommutativeMonoid> Fold<M> {
+    const EMPTY: Fold<M> = Fold {
+        sub: Agg::IDENTITY,
+        vertices: 0,
+        diam: 0,
+        deep: [Top2::NO_DEPTH; 2],
+        near: [Top2::NO_NEAR; 2],
+    };
+
+    fn merge(&self, other: &Fold<M>) -> Fold<M> {
+        Fold {
+            sub: Agg::combine(self.sub, other.sub),
+            vertices: self.vertices + other.vertices,
+            diam: self.diam.max(other.diam),
+            deep: [0, 1].map(|j| self.deep[j].merge(&other.deep[j], deeper)),
+            near: [0, 1].map(|j| self.near[j].merge(&other.near[j], nearer)),
+        }
+    }
+
+    /// Folds the pendants `ys` of a cluster whose hub is `hub`.
+    fn of(clusters: &ClusterSlab<M>, hub: u32, ys: &[u32]) -> Fold<M> {
+        let hub_sum = &clusters[hub].summary;
+        let mut f = Fold::EMPTY;
+        for &y in ys {
+            #[cfg(test)]
+            tests::FOLD_READS.with(|n| n.set((n.get().0 + 1, n.get().1)));
+            let ch = &clusters[y];
+            f.sub = Agg::combine(f.sub, ch.summary.sub);
+            f.vertices += ch.summary.vertices;
+            f.diam = f.diam.max(ch.summary.diam);
+            // boundary indices of the pendant's one edge to the hub (`my_end`
+            // inside the pendant, `other_end` inside the hub); with a single
+            // boundary on both sides they are 0 without reading the edge
+            let (ci, hi) = if ch.summary.nbound <= 1 && hub_sum.nbound <= 1 {
+                (0, 0)
+            } else {
+                let e = ch
+                    .neighbors
+                    .iter()
+                    .find(|e| e.neighbor == hub)
+                    .expect("pendant must be attached to the hub");
+                (
+                    ch.summary.boundary_index(e.my_end).unwrap_or(0),
+                    hub_sum.boundary_index(e.other_end).unwrap_or(0),
+                )
+            };
+            f.deep[hi].offer(1 + ch.summary.ecc[ci], y, deeper);
+            f.near[hi].offer(ch.summary.near[ci].saturating_add(1), y, nearer);
+        }
+        f
+    }
+}
+
+/// The cached block folds of a cluster with more than `B` children: a
+/// complete binary tree over `cap` leaves (a power of two).  Leaf `k` folds
+/// the pendant slots `1 + kB .. 1 + (k+1)B` (empty past the last child),
+/// node `i` merges nodes `2i` and `2i + 1`, and node 1 folds every pendant.
+#[derive(Clone, Debug)]
+pub(crate) struct FoldTree<M: CommutativeMonoid> {
+    /// The hub and its boundary the leaves were folded against; a change to
+    /// either re-folds every block.
+    hub: u32,
+    hub_bounds: ([u32; 2], u8),
+    nodes: Vec<Fold<M>>,
+    /// Blocks whose children changed since the last refresh.
+    stale: Vec<u32>,
+}
+
+impl<M: CommutativeMonoid> FoldTree<M> {
+    fn cap(&self) -> usize {
+        self.nodes.len() / 2
+    }
+
+    /// Folds every block of `children` into a fresh tree with `cap` leaves.
+    fn build(clusters: &ClusterSlab<M>, children: &[u32], cap: usize) -> FoldTree<M> {
+        let hub = children[0];
+        let hs = &clusters[hub].summary;
+        let mut nodes = vec![Fold::EMPTY; 2 * cap];
+        for (k, ys) in children[1..].chunks(B).enumerate() {
+            nodes[cap + k] = Fold::of(clusters, hub, ys);
+        }
+        for i in (1..cap).rev() {
+            nodes[i] = nodes[2 * i].merge(&nodes[2 * i + 1]);
+        }
+        FoldTree {
+            hub,
+            hub_bounds: (hs.boundary, hs.nbound),
+            nodes,
+            stale: Vec::new(),
+        }
+    }
+
+    /// Whether the tree still fits `children`: same hub and hub boundary,
+    /// and a block count within `(cap / 4, cap]` so a fan-out oscillating at
+    /// a power of two does not rebuild on every update.
+    fn fits(&self, clusters: &ClusterSlab<M>, children: &[u32]) -> bool {
+        let hs = &clusters[children[0]].summary;
+        let blocks = blocks(children.len());
+        self.hub == children[0]
+            && self.hub_bounds == (hs.boundary, hs.nbound)
+            && blocks <= self.cap()
+            && (self.cap() == 1 || blocks > self.cap() / 4)
+    }
+
+    /// Re-folds the stale blocks and the tree nodes above them.
+    fn refresh(&mut self, clusters: &ClusterSlab<M>, children: &[u32]) {
+        let cap = self.cap();
+        let mut stale = std::mem::take(&mut self.stale);
+        stale.sort_unstable();
+        stale.dedup();
+        for &k in &stale {
+            let k = k as usize;
+            if k >= cap {
+                continue; // a block emptied again before this refresh
+            }
+            let lo = (1 + k * B).min(children.len());
+            let hi = (1 + (k + 1) * B).min(children.len());
+            self.nodes[cap + k] = Fold::of(clusters, self.hub, &children[lo..hi]);
+            let mut i = (cap + k) / 2;
+            while i >= 1 {
+                #[cfg(test)]
+                tests::FOLD_READS.with(|n| n.set((n.get().0, n.get().1 + 1)));
+                self.nodes[i] = self.nodes[2 * i].merge(&self.nodes[2 * i + 1]);
+                i /= 2;
+            }
+        }
+        stale.clear();
+        self.stale = stale;
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<Fold<M>>()
+            + self.stale.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// Number of fold blocks of a cluster with `fanout` children.
+fn blocks(fanout: usize) -> usize {
+    (fanout - 1).div_ceil(B)
+}
+
+/// Where a parent boundary vertex lies: in the hub (`child == NIL32`) or in
+/// the pendant `child`, attached to the hub by the edge `x`–`y` (`x` in the
+/// hub, `y` in the pendant).
+struct BoundaryLoc {
+    child: u32,
+    x: u32,
+    y: u32,
+    /// distance from the boundary to each hub boundary vertex
+    d_hub: [u64; 2],
+    /// eccentricity / nearest-marked distance within the hub plus `child`
+    ecc: u64,
+    near: u64,
+}
+
 /// The contraction forest over vertices `0..n`, generic over the vertex
 /// weight monoid (default: the `i64` sum/min/max aggregate).
 #[derive(Clone, Debug)]
@@ -156,6 +409,11 @@ pub struct ContractionForest<M: CommutativeMonoid = SumMinMax> {
     pending: Vec<Vec<u32>>,
     /// Clusters whose summaries must be recomputed.
     dirty: Vec<u32>,
+    /// Per-level buckets reused by [`flush_dirty`](Self::flush_dirty).
+    flush_levels: Vec<Vec<u32>>,
+    /// Cached block folds, keyed by cluster id; present exactly for the
+    /// clusters with more than `B` children.
+    folds: FxHashMap<u32, FoldTree<M>>,
     num_edges: usize,
 }
 
@@ -171,6 +429,8 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             free: Vec::new(),
             pending: Vec::new(),
             dirty: Vec::new(),
+            flush_levels: Vec::new(),
+            folds: FxHashMap::default(),
             num_edges: 0,
         };
         for v in 0..n {
@@ -221,6 +481,9 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
                 self.clusters.push(Cluster::new_leaf(summary));
             }
         }
+        // relocated clusters re-enter their parents' fold blocks under the
+        // new id
+        self.flush_dirty();
     }
 
     /// Moves the internal cluster at id `from` to a fresh id at the end of
@@ -230,11 +493,12 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// slot needed for a new leaf.
     fn relocate_cluster(&mut self, from: ClusterId) {
         let from = narrow(from);
-        let to = narrow(self.clusters.len());
+        let to = slab_id(self.clusters.len());
         let dead = Cluster {
             parent: NIL32,
             level: 0,
             alive: false,
+            slot: 0,
             neighbors: Vec::new(),
             children: Vec::new(),
             summary: Summary::empty(),
@@ -242,11 +506,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         let cluster = std::mem::replace(&mut self.clusters[from], dead);
         debug_assert!(cluster.level > 0, "leaves are never relocated");
         if cluster.parent != NIL32 {
-            for ch in self.clusters[cluster.parent].children.iter_mut() {
-                if *ch == from {
-                    *ch = to;
-                }
-            }
+            self.clusters[cluster.parent].children[cluster.slot as usize] = to;
         }
         for &ch in &cluster.children {
             self.clusters[ch].parent = to;
@@ -258,7 +518,13 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
                 }
             }
         }
+        if cluster.children.len() > B {
+            if let Some(tree) = self.folds.remove(&from) {
+                self.folds.insert(to, tree);
+            }
+        }
         self.clusters.push(cluster);
+        self.mark_dirty(to);
     }
 
     /// Whether the forest has no vertices.
@@ -307,12 +573,19 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
 
     /// Whether edge `(u, v)` is currently present.
     pub fn has_edge(&self, u: Vertex, v: Vertex) -> bool {
-        u < self.len()
-            && v < self.len()
-            && self.clusters[u]
-                .neighbors
-                .iter()
-                .any(|e| e.my_end as usize == u && e.other_end as usize == v)
+        if u >= self.len() || v >= self.len() {
+            return false;
+        }
+        // scan the shorter list: a hub's list is as long as its degree
+        let (a, b) = if self.clusters[u].degree() <= self.clusters[v].degree() {
+            (u, v)
+        } else {
+            (v, u)
+        };
+        self.clusters[a]
+            .neighbors
+            .iter()
+            .any(|e| e.my_end as usize == a && e.other_end as usize == b)
     }
 
     /// The topmost cluster of the tree containing `v`.
@@ -375,7 +648,8 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             bytes += c.neighbors.capacity() * std::mem::size_of::<AdjEntry>();
             bytes += c.children.capacity() * std::mem::size_of::<u32>();
         }
-        bytes
+        bytes += self.folds.capacity() * (std::mem::size_of::<(u32, FoldTree<M>)>() + 1);
+        bytes + self.folds.values().map(FoldTree::heap_bytes).sum::<usize>()
     }
 
     /// Number of live clusters (leaves plus internal).
@@ -445,7 +719,8 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     fn delete_cluster(&mut self, c: u32) {
         debug_assert!(self.clusters[c].alive && self.clusters[c].level > 0);
         let parent = self.clusters[c].parent;
-        let entries: Vec<AdjEntry> = self.clusters[c].neighbors.clone();
+        // `c`'s own list is cleared below; the loop only edits other lists
+        let mut entries = std::mem::take(&mut self.clusters[c].neighbors);
         for e in &entries {
             self.remove_adj(e.neighbor, e.other_end, e.my_end);
             self.mark_dirty(e.neighbor);
@@ -456,22 +731,61 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
                 self.remove_edge_upward(parent, qp, e.my_end, e.other_end);
             }
         }
-        let children: Vec<u32> = self.clusters[c].children.clone();
-        for y in children {
+        let mut children = std::mem::take(&mut self.clusters[c].children);
+        if children.len() > B {
+            self.folds.remove(&c);
+        }
+        for &y in &children {
             self.clusters[y].parent = NIL32;
             self.push_pending(y);
             self.mark_dirty(y);
         }
         if parent != NIL32 {
-            self.clusters[parent].children.retain(|&x| x != c);
+            self.detach_child(c);
             self.mark_dirty(parent);
         }
+        // the freed slot keeps both buffers for its next tenant
+        entries.clear();
+        children.clear();
         let cl = &mut self.clusters[c];
         cl.alive = false;
         cl.parent = NIL32;
-        cl.neighbors.clear();
-        cl.children.clear();
+        cl.neighbors = entries;
+        cl.children = children;
         self.free.push(c);
+    }
+
+    /// Removes `child` from its parent's child list in O(1): the last child
+    /// moves into the vacated slot, and both slots' fold blocks go stale.
+    fn detach_child(&mut self, child: u32) {
+        let parent = self.clusters[child].parent;
+        let slot = self.clusters[child].slot;
+        let kids = &mut self.clusters[parent].children;
+        kids.swap_remove(slot as usize);
+        let last = kids.len() as u32;
+        if slot < last {
+            let moved = kids[slot as usize];
+            self.clusters[moved].slot = slot;
+        }
+        self.clusters[child].parent = NIL32;
+        if self.clusters[parent].children.len() == B {
+            // dropped to `B` children: folded directly from now on
+            self.folds.remove(&parent);
+        } else {
+            self.touch_slot(parent, slot);
+            self.touch_slot(parent, last);
+        }
+    }
+
+    /// Marks the fold block holding `slot` of `parent` stale (a no-op for
+    /// the hub and for clusters folded directly).
+    fn touch_slot(&mut self, parent: u32, slot: u32) {
+        if slot == 0 || self.clusters[parent].children.len() <= B {
+            return;
+        }
+        if let Some(tree) = self.folds.get_mut(&parent) {
+            tree.stale.push((slot - 1) / B as u32);
+        }
     }
 
     /// Disconnects `child` from its surviving parent `parent`, turning `child`
@@ -490,15 +804,15 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             self.delete_cluster(parent);
             return;
         }
-        self.clusters[child].parent = NIL32;
-        self.clusters[parent].children.retain(|&x| x != child);
+        self.detach_child(child);
         self.mark_dirty(parent);
         self.push_pending(child);
         self.mark_dirty(child);
         // The child's vertices leave the parent's subtree: remove its external
-        // edges from the parent's level and above.
-        let entries: Vec<AdjEntry> = self.clusters[child].neighbors.clone();
-        for e in entries {
+        // edges from the parent's level and above (never the child's own
+        // level, so its list is stable).
+        for i in 0..self.clusters[child].neighbors.len() {
+            let e = self.clusters[child].neighbors[i];
             let qp = self.clusters[e.neighbor].parent;
             self.remove_edge_upward(parent, qp, e.my_end, e.other_end);
         }
@@ -543,8 +857,10 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
                 self.remove_adj(au, u, v);
                 self.remove_adj(av, v, u);
             } else {
-                self.add_adj(au, av, u, v);
-                self.add_adj(av, au, v, u);
+                // a linked edge is absent at every level: no duplicate scan
+                // (a hub's list is as long as its degree)
+                self.push_adj(au, av, u, v);
+                self.push_adj(av, au, v, u);
             }
             self.mark_dirty(au);
             self.mark_dirty(av);
@@ -560,17 +876,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             .iter()
             .any(|e| e.my_end == my_end && e.other_end == other_end)
         {
-            self.clusters[c].neighbors.push(AdjEntry {
-                neighbor: nbr,
-                my_end,
-                other_end,
-            });
-            // A parentless cluster that gains an edge stops being a finished
-            // tree top: it must take part in the coming reclustering rounds,
-            // or its tree would never merge with the edge's other side.
-            if self.clusters[c].parent == NIL32 {
-                self.push_pending(c);
-            }
+            self.push_adj(c, nbr, my_end, other_end);
         } else {
             // keep the neighbour pointer fresh
             for e in &mut self.clusters[c].neighbors {
@@ -578,6 +884,26 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
                     e.neighbor = nbr;
                 }
             }
+        }
+    }
+
+    /// Adds an adjacency entry known to be absent from `c`'s list.
+    fn push_adj(&mut self, c: u32, nbr: u32, my_end: u32, other_end: u32) {
+        debug_assert!(self.clusters[c].alive);
+        debug_assert!(!self.clusters[c]
+            .neighbors
+            .iter()
+            .any(|e| e.my_end == my_end && e.other_end == other_end));
+        self.clusters[c].neighbors.push(AdjEntry {
+            neighbor: nbr,
+            my_end,
+            other_end,
+        });
+        // A parentless cluster that gains an edge stops being a finished
+        // tree top: it must take part in the coming reclustering rounds, or
+        // its tree would never merge with the edge's other side.
+        if self.clusters[c].parent == NIL32 {
+            self.push_pending(c);
         }
     }
 
@@ -609,23 +935,16 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
 
     fn recluster(&mut self) {
         let mut level = 0;
+        // swapped with each level's bucket, so the buffers are reused
+        let mut roots: Vec<u32> = Vec::new();
         while level < self.pending.len() {
-            let roots: Vec<u32> = {
-                let bucket = &mut self.pending[level];
-                if bucket.is_empty() {
-                    level += 1;
-                    continue;
-                }
-                std::mem::take(bucket)
-            };
-            let mut roots: Vec<u32> = roots
-                .into_iter()
-                .filter(|&c| {
-                    self.clusters[c].alive
-                        && self.clusters[c].parent == NIL32
-                        && self.clusters[c].level as usize == level
-                })
-                .collect();
+            if self.pending[level].is_empty() {
+                level += 1;
+                continue;
+            }
+            roots.clear();
+            std::mem::swap(&mut roots, &mut self.pending[level]);
+            roots.retain(|&c| self.is_unparented_root(c, level));
             roots.sort_unstable();
             roots.dedup();
             if roots.is_empty() {
@@ -639,7 +958,6 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             // do not advance: the level may have received new pending roots
             // (e.g. children of clusters deleted while absorbing neighbours)
         }
-        self.pending.clear();
     }
 
     fn recluster_level(&mut self, level: usize, roots: &[u32]) {
@@ -688,35 +1006,33 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             if !pairable {
                 continue;
             }
-            let entries: Vec<AdjEntry> = self.clusters[x].neighbors.clone();
-            let mut merged = false;
-            for e in entries {
-                let y = e.neighbor;
-                if !self.clusters[y].alive {
-                    continue;
-                }
-                let dy = self.clusters[y].degree();
-                if !self.pair_allowed(dx, dy) || self.merges(y) {
-                    continue;
-                }
-                if self.clusters[y].parent != NIL32 {
+            let partner = self.clusters[x]
+                .neighbors
+                .iter()
+                .map(|e| e.neighbor)
+                .find(|&y| {
+                    self.clusters[y].alive
+                        && self.pair_allowed(dx, self.clusters[y].degree())
+                        && !self.merges(y)
+                });
+            match partner {
+                Some(y) if self.clusters[y].parent != NIL32 => {
                     // y sits alone under a copy parent: join it there
                     let yp = self.clusters[y].parent;
                     self.delete_ancestors(yp);
                     self.attach_to_existing(x, yp);
-                } else {
+                }
+                Some(y) => {
                     let p = self.new_cluster(level as u32 + 1);
                     self.attach_child(x, p);
                     self.attach_child(y, p);
                     new_parents.push(p);
                 }
-                merged = true;
-                break;
-            }
-            if !merged {
-                let p = self.new_cluster(level as u32 + 1);
-                self.attach_child(x, p);
-                new_parents.push(p);
+                None => {
+                    let p = self.new_cluster(level as u32 + 1);
+                    self.attach_child(x, p);
+                    new_parents.push(p);
+                }
             }
         }
 
@@ -742,9 +1058,11 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
                 && self.policy == Policy::Ufo
             {
                 // y is a high-degree cluster already merged into its star
-                // parent: x joins that star.
+                // parent: x joins that star.  Phase A attached y first, so
+                // it is the hub at slot 0.
                 let yp = self.clusters[y].parent;
                 self.delete_ancestors(yp);
+                debug_assert_eq!(self.clusters[y].slot, 0, "a star's hub sits at slot 0");
                 self.attach_to_existing(x, yp);
             } else if self.clusters[y].alive
                 && self.clusters[y].parent == NIL32
@@ -801,6 +1119,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             parent: NIL32,
             level,
             alive: true,
+            slot: 0,
             neighbors: Vec::new(),
             children: Vec::new(),
             summary: Summary::empty(),
@@ -809,8 +1128,9 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             self.clusters[id] = cluster;
             id
         } else {
+            let id = slab_id(self.clusters.len());
             self.clusters.push(cluster);
-            narrow(self.clusters.len() - 1)
+            id
         }
     }
 
@@ -821,8 +1141,11 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             self.clusters[parent].level,
             "level mismatch while attaching"
         );
+        let slot = self.clusters[parent].children.len() as u32;
         self.clusters[child].parent = parent;
+        self.clusters[child].slot = slot;
         self.clusters[parent].children.push(child);
+        self.touch_slot(parent, slot);
         self.mark_dirty(parent);
     }
 
@@ -832,8 +1155,9 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     fn attach_to_existing(&mut self, x: u32, p: u32) {
         debug_assert!(self.clusters[p].alive);
         self.attach_child(x, p);
-        let entries: Vec<AdjEntry> = self.clusters[x].neighbors.clone();
-        for e in entries {
+        // the edges go in at `p`'s level and above, so `x`'s list is stable
+        for i in 0..self.clusters[x].neighbors.len() {
+            let e = self.clusters[x].neighbors[i];
             let qp = self.clusters[e.neighbor].parent;
             if qp == p || qp == NIL32 {
                 continue;
@@ -847,10 +1171,12 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// children's adjacency, inserting the symmetric entries into neighbouring
     /// clusters that already exist.
     fn populate_parent_adjacency(&mut self, p: u32) {
-        let children: Vec<u32> = self.clusters[p].children.clone();
-        for c in children {
-            let entries: Vec<AdjEntry> = self.clusters[c].neighbors.clone();
-            for e in entries {
+        // only lists one level up change, so the children and their lists
+        // are stable
+        for k in 0..self.clusters[p].children.len() {
+            let c = self.clusters[p].children[k];
+            for i in 0..self.clusters[c].neighbors.len() {
+                let e = self.clusters[c].neighbors[i];
                 if !self.clusters[e.neighbor].alive {
                     continue;
                 }
@@ -875,32 +1201,97 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     }
 
     /// Recomputes the summaries of every dirty cluster and of all their
-    /// ancestors, bottom-up.
+    /// ancestors, bottom-up.  Each recomputed child marks its fold block in
+    /// the parent stale, so a parent with more than `B` children re-folds
+    /// only those blocks and the fold-tree path above them.
     pub(crate) fn flush_dirty(&mut self) {
         if self.dirty.is_empty() {
             return;
         }
-        let mut work: Vec<u32> = std::mem::take(&mut self.dirty);
-        work.retain(|&c| (c as usize) < self.clusters.len() && self.clusters[c].alive);
-        work.sort_unstable();
-        work.dedup();
-        // close under ancestors
-        let mut seen: dyntree_primitives::hash::FxHashSet<u32> = work.iter().copied().collect();
-        let mut frontier = work.clone();
-        while let Some(c) = frontier.pop() {
-            let p = self.clusters[c].parent;
-            if p != NIL32 && self.clusters[p].alive && seen.insert(p) {
-                work.push(p);
-                frontier.push(p);
+        // bucket the dirty clusters by level; each level's refreshed
+        // clusters push their parents one level up
+        let mut levels = std::mem::take(&mut self.flush_levels);
+        for &c in &self.dirty {
+            let cl = &self.clusters[c];
+            if cl.alive {
+                let l = cl.level as usize;
+                if levels.len() <= l {
+                    levels.resize_with(l + 1, Vec::new);
+                }
+                levels[l].push(c);
             }
         }
-        work.sort_unstable_by_key(|&c| self.clusters[c].level);
-        for c in work {
-            if self.clusters[c].alive {
-                let s = self.compute_summary(c);
-                self.clusters[c].summary = s;
+        self.dirty.clear();
+        let mut work: Vec<u32> = Vec::new();
+        let mut l = 0;
+        while l < levels.len() {
+            std::mem::swap(&mut work, &mut levels[l]);
+            work.sort_unstable();
+            work.dedup();
+            for &c in &work {
+                if !self.clusters[c].alive {
+                    continue;
+                }
+                let pendants = self.pendant_fold(c);
+                let s = self.compute_summary(c, &pendants);
+                let cl = &mut self.clusters[c];
+                cl.summary = s;
+                let (parent, slot) = (cl.parent, cl.slot);
+                if parent != NIL32 {
+                    self.touch_slot(parent, slot);
+                    if levels.len() <= l + 1 {
+                        levels.resize_with(l + 2, Vec::new);
+                    }
+                    levels[l + 1].push(parent);
+                }
+            }
+            work.clear();
+            l += 1;
+        }
+        self.flush_levels = levels;
+    }
+
+    /// The fold of `c`'s pendant children: folded directly for at most `B`
+    /// children, otherwise read from `c`'s fold tree after re-folding its
+    /// stale blocks (the whole tree when it no longer fits).
+    fn pendant_fold(&mut self, c: u32) -> Fold<M> {
+        let children = &self.clusters[c].children;
+        if children.len() <= 1 {
+            return Fold::EMPTY;
+        }
+        if children.len() <= B {
+            return Fold::of(&self.clusters, children[0], &children[1..]);
+        }
+        match self.folds.get_mut(&c) {
+            Some(tree) if tree.fits(&self.clusters, children) => {
+                tree.refresh(&self.clusters, children);
+                tree.nodes[1]
+            }
+            _ => {
+                let cap = blocks(children.len()).next_power_of_two();
+                let tree = FoldTree::build(&self.clusters, children, cap);
+                let all = tree.nodes[1];
+                self.folds.insert(c, tree);
+                all
             }
         }
+    }
+
+    /// The fold of `c`'s pendant children from scratch, block by block in
+    /// the shape of `c`'s fold tree (for invariant checks).
+    fn fresh_pendant_fold(&self, c: u32) -> Fold<M> {
+        let children = &self.clusters[c].children;
+        if children.len() <= 1 {
+            return Fold::EMPTY;
+        }
+        if children.len() <= B {
+            return Fold::of(&self.clusters, children[0], &children[1..]);
+        }
+        let cap = self
+            .folds
+            .get(&c)
+            .map_or_else(|| blocks(children.len()).next_power_of_two(), FoldTree::cap);
+        FoldTree::build(&self.clusters, children, cap).nodes[1]
     }
 
     fn leaf_summary(&self, v: Vertex) -> Summary<M> {
@@ -932,10 +1323,16 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         }
     }
 
-    /// Recomputes the summary of cluster `c` from its children (or from the
-    /// vertex data for leaves).
-    pub(crate) fn compute_summary(&self, c: u32) -> Summary<M> {
+    /// Recomputes the summary of cluster `c` from the summaries of its hub
+    /// (slot 0) and the fold of its pendant children (or from the vertex
+    /// data for leaves).  Besides the fold it reads the hub and the at most
+    /// two pendants that hold a boundary vertex of `c`.
+    pub(crate) fn compute_summary(&self, c: u32, pendants: &Fold<M>) -> Summary<M> {
         let cl = &self.clusters[c];
+        if cl.children.is_empty() {
+            // a leaf's boundary is always itself
+            return self.leaf_summary(c as usize);
+        }
         // Boundaries come from the cluster's own adjacency.
         let mut boundary = [NIL32, NIL32];
         let mut nbound = 0usize;
@@ -955,281 +1352,198 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         );
         let nbound = nbound.min(2);
 
-        if cl.children.is_empty() {
-            // leaf
-            let mut s = self.leaf_summary(c as usize);
-            // a leaf's boundary is always itself
-            s.boundary = [c, c];
-            s.nbound = if nbound == 0 { 1 } else { nbound as u8 };
-            return s;
-        }
-
-        let children = &cl.children;
+        let hub = cl.children[0];
+        let hub_sum = &self.clusters[hub].summary;
         let mut s = Summary::empty();
         s.boundary = boundary;
         s.nbound = nbound as u8;
-        for &ch in children {
-            s.sub = Agg::combine(s.sub, self.clusters[ch].summary.sub);
-            s.vertices += self.clusters[ch].summary.vertices;
-        }
+        s.sub = Agg::combine(hub_sum.sub, pendants.sub);
+        s.vertices = hub_sum.vertices + pendants.vertices;
 
-        if children.len() == 1 {
-            let ch = &self.clusters[children[0]].summary;
-            s.path = if nbound == 2 { ch.path } else { Agg::IDENTITY };
-            s.diam = ch.diam;
+        if cl.children.len() == 1 {
+            s.path = if nbound == 2 {
+                hub_sum.path
+            } else {
+                Agg::IDENTITY
+            };
+            s.diam = hub_sum.diam;
             for i in 0..nbound {
-                let bi = ch
+                let bi = hub_sum
                     .boundary_index(s.boundary[i])
                     .expect("parent boundary must be a child boundary");
-                s.ecc[i] = ch.ecc[bi];
-                s.near[i] = ch.near[bi];
+                s.ecc[i] = hub_sum.ecc[bi];
+                s.near[i] = hub_sum.near[bi];
             }
             return s;
         }
 
-        // General case: the children form either a pair or a star (hub plus
-        // attached children).  Identify the hub as the child with the most
-        // internal (sibling) edges; every other child is attached to the hub
-        // by exactly one internal edge.
-        let internal_edges = |child: u32| -> Vec<AdjEntry> {
-            self.clusters[child]
-                .neighbors
-                .iter()
-                .filter(|e| {
-                    self.clusters[e.neighbor].alive && self.clusters[e.neighbor].parent == c
-                })
-                .copied()
-                .collect()
-        };
-        let hub = *children
-            .iter()
-            .max_by_key(|&&ch| internal_edges(ch).len())
-            .unwrap();
-        let hub_sum = &self.clusters[hub].summary;
-        let hub_internal = internal_edges(hub);
+        // General case: the children form a pair or a star, every pendant
+        // attached to the hub by exactly one internal edge.  Locate each
+        // parent boundary (in the hub, or in a pendant) with its distance to
+        // every hub boundary vertex and its base (within its own child + the
+        // hub) eccentricity / nearest-marked distance.
+        let locs = [0, 1].map(|i| (i < nbound).then(|| self.locate(c, hub, s.boundary[i])));
 
-        // Locate each parent boundary: either inside the hub, or inside one of
-        // the attached children.  For each boundary we precompute the distance
-        // to every hub boundary vertex and the base (within "its own child +
-        // the hub") eccentricity / nearest-marked distance.
-        struct BoundaryLoc {
-            /// the attached child containing the boundary (NIL32 if in the hub)
-            child: u32,
-            /// distance from the boundary to each hub boundary vertex
-            d_hub: [u64; 2],
-            ecc: u64,
-            near: u64,
+        // Diameter: the hub's, the pendants', a deepest pendant plus the
+        // hub's eccentricity at its attach vertex, and the two deepest
+        // pendants at one hub boundary vertex or across both.
+        let hn = hub_sum.nbound as usize;
+        let deep = &pendants.deep;
+        let mut diam = hub_sum.diam.max(pendants.diam);
+        for (j, d) in deep.iter().enumerate() {
+            if d.val[0] > 0 {
+                diam = diam.max(d.val[0] + hub_sum.ecc[j]);
+            }
+            if j < hn && d.val[1] > 0 {
+                diam = diam.max(d.val[0] + d.val[1]);
+            }
         }
-        let mut locs: Vec<BoundaryLoc> = Vec::with_capacity(nbound);
-        for i in 0..nbound {
-            let b = s.boundary[i];
-            if let Some(bi) = hub_sum.boundary_index(b) {
-                let mut d_hub = [0u64; 2];
-                for (j, d) in d_hub.iter_mut().enumerate().take(hub_sum.nbound as usize) {
-                    *d = hub_sum.boundary_distance(b, hub_sum.boundary[j]);
+        if hn == 2 && deep[0].val[0] > 0 && deep[1].val[0] > 0 {
+            diam = diam.max(deep[0].val[0] + hub_sum.path.edges + deep[1].val[0]);
+        }
+        // Eccentricity / nearest from each parent boundary: through the hub
+        // into every pendant except the one holding the boundary.
+        for (i, loc) in locs.iter().enumerate() {
+            let Some(loc) = loc else { continue };
+            s.ecc[i] = loc.ecc;
+            s.near[i] = loc.near;
+            for ((d, near), through) in deep.iter().zip(&pendants.near).zip(loc.d_hub) {
+                let depth = d.without(loc.child);
+                if depth > 0 {
+                    s.ecc[i] = s.ecc[i].max(through + depth);
                 }
-                locs.push(BoundaryLoc {
-                    child: NIL32,
-                    d_hub,
-                    ecc: hub_sum.ecc[bi],
-                    near: hub_sum.near[bi],
-                });
-            } else {
-                // boundary lies in an attached child
-                let (child, e) = hub_internal
-                    .iter()
-                    .find_map(|e| {
-                        let ch = &self.clusters[e.neighbor].summary;
-                        ch.boundary_index(b).map(|_| (e.neighbor, *e))
-                    })
-                    .expect("parent boundary must lie in a child");
-                let ch = &self.clusters[child].summary;
-                let bi = ch.boundary_index(b).unwrap();
-                let y = e.other_end; // attach vertex inside the child
-                let x = e.my_end; // attach vertex inside the hub
-                let d_to_hub_attach = ch.boundary_distance(b, y) + 1;
-                let xi = hub_sum.boundary_index(x).unwrap_or(0);
-                let mut d_hub = [0u64; 2];
-                for (j, d) in d_hub.iter_mut().enumerate().take(hub_sum.nbound as usize) {
-                    *d = d_to_hub_attach + hub_sum.boundary_distance(x, hub_sum.boundary[j]);
-                }
-                locs.push(BoundaryLoc {
-                    child,
-                    d_hub,
-                    ecc: ch.ecc[bi].max(d_to_hub_attach + hub_sum.ecc[xi]),
-                    near: ch.near[bi].min(d_to_hub_attach.saturating_add(hub_sum.near[xi])),
-                });
+                let near = near.without(loc.child);
+                s.near[i] = s.near[i].min(through.saturating_add(near));
             }
         }
-
-        // Fold the attached children into diameter / eccentricity / nearest.
-        // Diameter bookkeeping: per hub boundary vertex, the two largest
-        // pendant depths of attached children.
-        let mut best_depth: [[u64; 2]; 2] = [[0, 0], [0, 0]];
-        let mut diam = hub_sum.diam;
-        let mut ecc = [0u64; 2];
-        let mut near = [INF_DIST; 2];
-        for i in 0..nbound {
-            ecc[i] = locs[i].ecc;
-            near[i] = locs[i].near;
-        }
-
-        for e in &hub_internal {
-            let child = e.neighbor;
-            if child == hub {
-                continue;
-            }
-            let ch = &self.clusters[child].summary;
-            let attach_hub = e.my_end; // vertex inside the hub
-            let attach_child = e.other_end; // vertex inside the child
-            let ci = ch.boundary_index(attach_child).unwrap_or(0);
-            let depth = 1 + ch.ecc[ci];
-            let near_child = ch.near[ci].saturating_add(1);
-            diam = diam.max(ch.diam);
-            let hi = hub_sum.boundary_index(attach_hub).unwrap_or(0);
-            {
-                let slot = &mut best_depth[hi];
-                if depth > slot[0] {
-                    slot[1] = slot[0];
-                    slot[0] = depth;
-                } else if depth > slot[1] {
-                    slot[1] = depth;
-                }
-                diam = diam.max(depth + hub_sum.ecc[hi]);
-            }
-            for i in 0..nbound {
-                // distance from parent boundary i to the attach vertex on the
-                // hub side (skipping the child containing the boundary itself)
-                if locs[i].child == child {
-                    continue;
-                }
-                let through = locs[i].d_hub[hi];
-                ecc[i] = ecc[i].max(through + depth);
-                near[i] = near[i].min(through.saturating_add(near_child));
-            }
-        }
-        // combine the two deepest pendants at each hub boundary vertex, and
-        // across the hub's two boundary vertices
-        for depths in best_depth.iter().take(hub_sum.nbound as usize) {
-            if depths[0] > 0 && depths[1] > 0 {
-                diam = diam.max(depths[0] + depths[1]);
-            }
-        }
-        if hub_sum.nbound == 2 && best_depth[0][0] > 0 && best_depth[1][0] > 0 {
-            diam = diam.max(best_depth[0][0] + hub_sum.path.edges + best_depth[1][0]);
-        }
-        s.diam = diam.max(ecc[..nbound].iter().copied().max().unwrap_or(0));
-        s.ecc = ecc;
-        s.near = near;
+        s.diam = diam.max(s.ecc[..nbound].iter().copied().max().unwrap_or(0));
 
         // Cluster path: only meaningful with two boundary vertices.
-        if nbound == 2 {
-            let (b0, b1) = (s.boundary[0], s.boundary[1]);
-            s.path = self.path_between_in_parent(c, hub, &hub_internal, b0, b1);
+        if let [Some(l0), Some(l1)] = &locs {
+            s.path = self.path_between_in_parent(hub, (s.boundary[0], l0), (s.boundary[1], l1));
         }
         s
     }
 
-    /// Aggregate over the vertices strictly between `b0` and `b1`, both of
-    /// which are boundary vertices of the parent `p` whose children are `hub`
-    /// plus the clusters attached to it via `hub_internal`.
+    /// Locates the boundary vertex `b` of cluster `c` (whose hub is `hub`).
+    fn locate(&self, c: u32, hub: u32, b: u32) -> BoundaryLoc {
+        let hub_sum = &self.clusters[hub].summary;
+        let hn = hub_sum.nbound as usize;
+        let mut d_hub = [0u64; 2];
+        if let Some(bi) = hub_sum.boundary_index(b) {
+            for (j, d) in d_hub.iter_mut().enumerate().take(hn) {
+                *d = hub_sum.boundary_distance(b, hub_sum.boundary[j]);
+            }
+            return BoundaryLoc {
+                child: NIL32,
+                x: NIL32,
+                y: NIL32,
+                d_hub,
+                ecc: hub_sum.ecc[bi],
+                near: hub_sum.near[bi],
+            };
+        }
+        // b lies in a pendant: the pair's other child, or its ancestor one
+        // level below `c`
+        let children = &self.clusters[c].children;
+        let child = if children.len() == 2 {
+            children[1]
+        } else {
+            let level = self.clusters[c].level - 1;
+            narrow(
+                self.ancestor_at_level(b as usize, level)
+                    .expect("parent boundary must lie in a child"),
+            )
+        };
+        debug_assert_eq!(self.clusters[child].parent, c);
+        let cl = &self.clusters[child];
+        let e = cl
+            .neighbors
+            .iter()
+            .find(|e| e.neighbor == hub)
+            .expect("pendant must be attached to the hub");
+        let ch = &cl.summary;
+        let bi = ch
+            .boundary_index(b)
+            .expect("parent boundary must lie in a child");
+        let (x, y) = (e.other_end, e.my_end);
+        let d_to_hub_attach = ch.boundary_distance(b, y) + 1;
+        let xi = hub_sum.boundary_index(x).unwrap_or(0);
+        for (j, d) in d_hub.iter_mut().enumerate().take(hn) {
+            *d = d_to_hub_attach + hub_sum.boundary_distance(x, hub_sum.boundary[j]);
+        }
+        BoundaryLoc {
+            child,
+            x,
+            y,
+            d_hub,
+            ecc: ch.ecc[bi].max(d_to_hub_attach + hub_sum.ecc[xi]),
+            near: ch.near[bi].min(d_to_hub_attach.saturating_add(hub_sum.near[xi])),
+        }
+    }
+
+    /// Aggregate over the vertices strictly between `b0` and `b1`, the two
+    /// boundary vertices of a parent whose hub is `hub`, each with its
+    /// location.
     fn path_between_in_parent(
         &self,
-        _p: u32,
         hub: u32,
-        hub_internal: &[AdjEntry],
-        b0: u32,
-        b1: u32,
+        (b0, l0): (u32, &BoundaryLoc),
+        (b1, l1): (u32, &BoundaryLoc),
     ) -> Agg<M> {
         let hub_sum = &self.clusters[hub].summary;
-        let loc = |b: u32| -> Option<usize> { hub_sum.boundary_index(b) };
-        match (loc(b0), loc(b1)) {
-            (Some(_), Some(_)) => {
-                // both boundaries are inside the hub: the parent path is the
-                // hub's own cluster path
-                if b0 == b1 {
-                    Agg::IDENTITY
-                } else {
-                    hub_sum.path
-                }
+        // the path inside pendant `child` from `from` to `to`
+        let inside_child = |child: u32, from: u32, to: u32| -> Agg<M> {
+            if from == to {
+                Agg::IDENTITY
+            } else {
+                self.clusters[child].summary.path
             }
-            _ => {
-                // One (or both) boundary lies in a non-hub child: the parent
-                // is a pair merge.  Find the children containing b0 / b1 and
-                // stitch their paths through the connecting edge.
-                let find_child = |b: u32| -> Option<(u32, AdjEntry)> {
-                    hub_internal.iter().find_map(|e| {
-                        let ch = &self.clusters[e.neighbor].summary;
-                        ch.boundary_index(b).map(|_| (e.neighbor, *e))
-                    })
+        };
+        // from a hub boundary `b` to the boundary `bc` of the pendant at `l`
+        let hub_to_child = |b: u32, bc: u32, l: &BoundaryLoc| -> Agg<M> {
+            let mut agg = if b == l.x {
+                Agg::IDENTITY
+            } else {
+                Agg::combine(hub_sum.path, self.vertex_path_value(l.x as usize))
+            };
+            agg = agg.cross_edge();
+            if l.y != bc {
+                agg = Agg::combine(agg, self.vertex_path_value(l.y as usize));
+                agg = Agg::combine(agg, inside_child(l.child, l.y, bc));
+            }
+            agg
+        };
+        match (l0.child == NIL32, l1.child == NIL32) {
+            // both boundaries are inside the hub: the parent path is the
+            // hub's own cluster path
+            (true, true) if b0 == b1 => Agg::IDENTITY,
+            (true, true) => hub_sum.path,
+            (true, false) => hub_to_child(b0, b1, l1),
+            (false, true) => hub_to_child(b1, b0, l0),
+            (false, false) => {
+                // both boundaries in (distinct) pendants:
+                // b0 .. y0 - x0 .. hub .. x1 - y1 .. b1
+                let mut agg = if l0.y != b0 {
+                    Agg::combine(
+                        inside_child(l0.child, b0, l0.y),
+                        self.vertex_path_value(l0.y as usize),
+                    )
+                } else {
+                    Agg::IDENTITY
                 };
-                let inside_child = |child: u32, from: u32, to: u32| -> Agg<M> {
-                    let cs = &self.clusters[child].summary;
-                    if from == to {
-                        Agg::IDENTITY
-                    } else {
-                        let _ = cs;
-                        cs.path
-                    }
-                };
-                match (loc(b0), find_child(b0), loc(b1), find_child(b1)) {
-                    (Some(_), _, None, Some((c1, e1))) => {
-                        // b0 in hub, b1 in child c1 attached via e1
-                        let x = e1.my_end; // in hub
-                        let y = e1.other_end; // in c1
-                        let mut agg = if b0 == x { Agg::IDENTITY } else { hub_sum.path };
-                        if x != b0 {
-                            agg = Agg::combine(agg, self.vertex_path_value(x as usize));
-                        }
-                        agg = agg.cross_edge();
-                        if y != b1 {
-                            agg = Agg::combine(agg, self.vertex_path_value(y as usize));
-                            agg = Agg::combine(agg, inside_child(c1, y, b1));
-                        }
-                        agg
-                    }
-                    (None, Some((c0, e0)), Some(_), _) => {
-                        // symmetric case
-                        let x = e0.my_end;
-                        let y = e0.other_end;
-                        let mut agg = if b1 == x { Agg::IDENTITY } else { hub_sum.path };
-                        if x != b1 {
-                            agg = Agg::combine(agg, self.vertex_path_value(x as usize));
-                        }
-                        agg = agg.cross_edge();
-                        if y != b0 {
-                            agg = Agg::combine(agg, self.vertex_path_value(y as usize));
-                            agg = Agg::combine(agg, inside_child(c0, y, b0));
-                        }
-                        agg
-                    }
-                    (None, Some((c0, e0)), None, Some((c1, e1))) => {
-                        // both boundaries in (distinct) non-hub children:
-                        // b0 .. e0 .. hub .. e1 .. b1
-                        let mut agg = if e0.other_end != b0 {
-                            Agg::combine(
-                                inside_child(c0, b0, e0.other_end),
-                                self.vertex_path_value(e0.other_end as usize),
-                            )
-                        } else {
-                            Agg::IDENTITY
-                        };
-                        agg = agg.cross_edge();
-                        // through the hub from e0.my_end to e1.my_end
-                        agg = Agg::combine(agg, self.vertex_path_value(e0.my_end as usize));
-                        if e0.my_end != e1.my_end {
-                            agg = Agg::combine(agg, hub_sum.path);
-                            agg = Agg::combine(agg, self.vertex_path_value(e1.my_end as usize));
-                        }
-                        agg = agg.cross_edge();
-                        if e1.other_end != b1 {
-                            agg = Agg::combine(agg, self.vertex_path_value(e1.other_end as usize));
-                            agg = Agg::combine(agg, inside_child(c1, e1.other_end, b1));
-                        }
-                        agg
-                    }
-                    _ => Agg::IDENTITY,
+                agg = agg.cross_edge();
+                agg = Agg::combine(agg, self.vertex_path_value(l0.x as usize));
+                if l0.x != l1.x {
+                    agg = Agg::combine(agg, hub_sum.path);
+                    agg = Agg::combine(agg, self.vertex_path_value(l1.x as usize));
                 }
+                agg = agg.cross_edge();
+                if l1.y != b1 {
+                    agg = Agg::combine(agg, self.vertex_path_value(l1.y as usize));
+                    agg = Agg::combine(agg, inside_child(l1.child, l1.y, b1));
+                }
+                agg
             }
         }
     }
@@ -1288,14 +1602,69 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
                 if p.level != c.level + 1 {
                     return Err(format!("cluster {} level mismatch with parent", id));
                 }
-                if !p.children.contains(&narrow(id)) {
-                    return Err(format!("cluster {} missing from parent's children", id));
+                if p.children.get(c.slot as usize) != Some(&narrow(id)) {
+                    return Err(format!(
+                        "cluster {} is not at its slot {} of its parent's children",
+                        id, c.slot
+                    ));
                 }
             }
             for &ch in &c.children {
                 if !self.clusters[ch].alive || self.clusters[ch].parent != narrow(id) {
                     return Err(format!("child {} of {} inconsistent", ch, id));
                 }
+            }
+            // the hub sits at slot 0: every other child hangs off it
+            if let Some((&hub, pendants)) = c.children.split_first() {
+                for &y in pendants {
+                    if !self.clusters[y].neighbors.iter().any(|e| e.neighbor == hub) {
+                        return Err(format!(
+                            "child {} of {} is not attached to the slot-0 hub {}",
+                            y, id, hub
+                        ));
+                    }
+                }
+            }
+        }
+        // 2b. every stored summary equals a from-scratch fold, and every
+        //     cached fold block equals a fresh fold of its children
+        for (id, c) in self.clusters.iter().enumerate() {
+            let id = narrow(id);
+            if c.alive && c.summary != self.compute_summary(id, &self.fresh_pendant_fold(id)) {
+                return Err(format!("cluster {} has a stale summary", id));
+            }
+        }
+        for (&id, tree) in &self.folds {
+            let c = &self.clusters[id];
+            if !c.alive || c.children.len() <= B {
+                return Err(format!("cluster {} has a fold tree it must not keep", id));
+            }
+            if !tree.fits(&self.clusters, &c.children) || !tree.stale.is_empty() {
+                return Err(format!("cluster {} has an out-of-date fold tree", id));
+            }
+            let cap = tree.cap();
+            let mut blocks = c.children[1..].chunks(B);
+            for k in 0..cap {
+                let fresh = blocks.next().map_or(Fold::EMPTY, |ys| {
+                    Fold::of(&self.clusters, c.children[0], ys)
+                });
+                if tree.nodes[cap + k] != fresh {
+                    return Err(format!("cluster {} has a stale fold of block {}", id, k));
+                }
+            }
+            for i in 1..cap {
+                if tree.nodes[i] != tree.nodes[2 * i].merge(&tree.nodes[2 * i + 1]) {
+                    return Err(format!("cluster {} has a stale fold-tree node {}", id, i));
+                }
+            }
+        }
+        for (id, c) in self.clusters.iter().enumerate() {
+            if c.alive && c.children.len() > B && !self.folds.contains_key(&narrow(id)) {
+                return Err(format!(
+                    "cluster {} has {} children but no fold tree",
+                    id,
+                    c.children.len()
+                ));
             }
         }
         // 3. every connected component contracts to a single top cluster and
@@ -1424,11 +1793,64 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
 mod tests {
     use super::*;
 
+    thread_local! {
+        /// Pendant summaries read by [`Fold::of`] and fold-tree nodes
+        /// re-merged by [`FoldTree::refresh`] on this thread.
+        pub(super) static FOLD_READS: std::cell::Cell<(usize, usize)> =
+            const { std::cell::Cell::new((0, 0)) };
+    }
+
     /// The narrowed adjacency entry must stay at 12 bytes — this is the
     /// memory contract behind the bytes-per-edge gate (DESIGN.md §12).
     #[test]
     fn adj_entry_is_twelve_bytes() {
         assert_eq!(std::mem::size_of::<AdjEntry>(), 12);
+    }
+
+    /// The `slot` back-pointer lives in the cluster's former padding.
+    #[test]
+    fn cluster_is_208_bytes() {
+        assert_eq!(std::mem::size_of::<Cluster<SumMinMax>>(), 208);
+    }
+
+    /// Slab ids stop one short of the `NIL32` sentinel in every build.
+    #[test]
+    fn slab_id_stops_short_of_the_sentinel() {
+        assert_eq!(slab_id(0), 0);
+        assert_eq!(slab_id(NIL32 as usize - 1), NIL32 - 1);
+        let err = std::panic::catch_unwind(|| slab_id(NIL32 as usize)).unwrap_err();
+        let msg = err.downcast_ref::<String>().unwrap();
+        assert!(msg.contains("cluster slab exhausted"), "{msg}");
+    }
+
+    /// One cut and one relink at a leaf of a 16 384-leaf star re-fold a
+    /// bounded number of child records: the cut re-folds the vacated slot's
+    /// block and the last block, the link the last block (at most `3·B`
+    /// pendants), plus the fold-tree paths above those three blocks — never
+    /// the whole fan-out.
+    #[test]
+    fn hub_update_refolds_a_bounded_number_of_pendants() {
+        const LEAVES: usize = 16_384;
+        let mut f: ContractionForest = ContractionForest::new(LEAVES + 1, Policy::Ufo);
+        for v in 1..=LEAVES {
+            assert!(f.link(0, v));
+        }
+        let star = f.top_cluster(0) as u32;
+        assert_eq!(f.clusters[star].fanout(), LEAVES + 1);
+        let depth = (LEAVES / B).ilog2() as usize;
+        FOLD_READS.with(|n| n.set((0, 0)));
+        assert!(f.cut(0, 777));
+        assert!(f.link(777, 0));
+        let (pendants, nodes) = FOLD_READS.with(|n| n.get());
+        assert!(
+            pendants <= 3 * B,
+            "one cut+link re-folded {pendants} pendants"
+        );
+        assert!(
+            nodes <= 3 * depth,
+            "one cut+link re-merged {nodes} tree nodes"
+        );
+        f.check_invariants().unwrap();
     }
 
     /// Repeatedly linking and cutting the same edges must recycle dead

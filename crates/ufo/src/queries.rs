@@ -46,11 +46,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         // Route from child_u to child_v inside the LCA cluster: either they
         // are directly adjacent (pair merges, leaf-hub) or they both hang off
         // the hub child (star merges).
-        let direct = self.clusters[child_u]
-            .neighbors
-            .iter()
-            .find(|e| e.neighbor == child_v)
-            .copied();
+        let direct = self.edge_between(child_u, child_v);
         let (interior_to_entry, entry) = if let Some(e) = direct {
             let base = lookup(&state_u, e.my_end)?;
             (
@@ -62,12 +58,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             let mut found = None;
             for e1 in self.internal_edges(child_u, lca) {
                 let hub = e1.neighbor;
-                if let Some(e2) = self.clusters[hub]
-                    .neighbors
-                    .iter()
-                    .find(|e| e.neighbor == child_v)
-                    .copied()
-                {
+                if let Some(e2) = self.edge_between(hub, child_v) {
                     let base = lookup(&state_u, e1.my_end)?;
                     let through_hub = self.extend_across(base, u, &e1, hub, e2.my_end);
                     let into_v = self.extend_across(through_hub, u, &e2, child_v, e2.other_end);
@@ -435,6 +426,21 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         out
     }
 
+    /// The adjacency entry of `a` towards `b`, read from the shorter of the
+    /// two lists (a hub's list is as long as its degree).
+    fn edge_between(&self, a: u32, b: u32) -> Option<AdjEntry> {
+        let (la, lb) = (&self.clusters[a].neighbors, &self.clusters[b].neighbors);
+        if la.len() <= lb.len() {
+            la.iter().find(|e| e.neighbor == b).copied()
+        } else {
+            lb.iter().find(|e| e.neighbor == a).map(|e| AdjEntry {
+                neighbor: b,
+                my_end: e.other_end,
+                other_end: e.my_end,
+            })
+        }
+    }
+
     /// Internal (sibling) edges of `c` within its parent `p`.
     fn internal_edges(&self, c: u32, p: u32) -> Vec<AdjEntry> {
         self.clusters[c]
@@ -445,17 +451,11 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             .collect()
     }
 
-    /// The hub child of `p` (the child with the most sibling edges), if `p`
-    /// has more than one child.
+    /// The hub child of `p` (slot 0, DESIGN.md §2), if `p` has more than
+    /// one child.
     fn hub_of(&self, p: u32) -> Option<u32> {
         let children = &self.clusters[p].children;
-        if children.len() < 2 {
-            return None;
-        }
-        children
-            .iter()
-            .copied()
-            .max_by_key(|&ch| self.internal_edges(ch, p).len())
+        (children.len() >= 2).then(|| children[0])
     }
 
     /// Whether boundary vertex `b` of the LCA cluster is on `v`'s side of the

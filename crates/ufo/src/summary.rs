@@ -29,7 +29,7 @@ pub type SubtreeAggregate = Agg<SumMinMax>;
 /// most two boundary vertices and that high-degree clusters have exactly one;
 /// the engine asserts this in debug builds.  Boundary vertices are stored as
 /// narrowed `u32` ids, like every other intra-forest link (DESIGN.md §12).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Summary<M: CommutativeMonoid = SumMinMax> {
     /// Boundary vertices (`NIL32`-padded).
     pub boundary: [u32; 2],
