@@ -3,10 +3,12 @@
 //! The paper's parallel ETT [Tseng et al. 2019] processes a batch of links or
 //! cuts with a phase-concurrent skip list.  This front-end keeps the batch
 //! *interface* (deduplicated, validated batches of links and cuts) and
-//! parallelises the batch preparation (deduplication, validity filtering via
-//! a union-find pre-pass) — real pool threads once a batch passes the
-//! `worth_parallel` grain, with byte-identical output at every thread count —
-//! while the tour splicing itself runs sequentially over the prepared batch.  `DESIGN.md` §5 records this substitution; the
+//! parallelises the batch preparation (canonical orientation, self-loop
+//! filtering, a sort and a dedup) — real pool threads once a batch passes
+//! the `worth_parallel` grain, with byte-identical output at every thread
+//! count — while the tour splicing itself runs sequentially over the
+//! prepared batch, one `link`/`cut` per edge, and those calls skip
+//! cycle-closing, duplicate and missing edges.  `DESIGN.md` §5 records this substitution; the
 //! batch benchmarks measure both this front-end and the UFO batch updates the
 //! same way (wall-clock per batch).
 

@@ -2,11 +2,13 @@
 //!
 //! The paper's Algorithm 4 processes a batch of `k` updates level by level
 //! with `O(min(k log(1 + n/k), kD))` work and poly-logarithmic depth.  This
-//! implementation keeps the *batch interface* and the work bound, and
-//! parallelises the embarrassingly parallel phases with rayon — batch
-//! normalisation (deduplication, self-loop and cycle filtering) and
-//! batch-query evaluation — while the per-level restructuring itself reuses
-//! the sequential core with a single deferred summary-refresh pass per batch.
+//! implementation keeps the *batch interface*, and parallelises the
+//! embarrassingly parallel phases with rayon — batch normalisation
+//! (canonical orientation, self-loop filtering, a sort and a dedup) and
+//! batch-query evaluation.  The restructuring itself is not batched: every
+//! surviving edge goes through the sequential `link`/`cut`, each with its
+//! own summary refresh, and those calls skip cycle-closing, duplicate and
+//! missing edges.
 //! With the rayon shim now backed by a real pool these phases execute on
 //! worker threads once a batch passes the `worth_parallel` grain; results
 //! are byte-identical at every thread count (the combinators are

@@ -82,6 +82,10 @@ pub struct Cluster<M: CommutativeMonoid = SumMinMax> {
     pub level: u32,
     /// Whether the cluster is live (false for freed slots).
     pub alive: bool,
+    /// Whether the id is queued for a summary refresh (on the dirty list or
+    /// in a level bucket of the refresh pass), so it is queued at most
+    /// once.  Clear between updates.
+    pub queued: bool,
     /// Index of this cluster in `parent.children` (meaningless for roots).
     /// A cluster with fan-out ≥ 3 keeps its hub at slot 0.
     pub slot: u32,
@@ -95,16 +99,22 @@ pub struct Cluster<M: CommutativeMonoid = SumMinMax> {
 }
 
 impl<M: CommutativeMonoid> Cluster<M> {
-    fn new_leaf(summary: Summary<M>) -> Self {
+    /// An unlinked cluster at `level` with no children and no adjacency.
+    fn unlinked(level: u32, alive: bool, summary: Summary<M>) -> Self {
         Cluster {
             parent: NIL32,
-            level: 0,
-            alive: true,
+            level,
+            alive,
+            queued: false,
             slot: 0,
             neighbors: Vec::new(),
             children: Vec::new(),
             summary,
         }
+    }
+
+    fn new_leaf(summary: Summary<M>) -> Self {
+        Self::unlinked(0, true, summary)
     }
 
     /// Degree of the cluster at its level.
@@ -407,10 +417,19 @@ pub struct ContractionForest<M: CommutativeMonoid = SumMinMax> {
     free: Vec<u32>,
     /// Root clusters awaiting reclustering, indexed by level.
     pending: Vec<Vec<u32>>,
-    /// Clusters whose summaries must be recomputed.
+    /// Clusters whose summaries must be recomputed, each id at most once
+    /// (see [`Cluster::queued`]).
     dirty: Vec<u32>,
     /// Per-level buckets reused by [`flush_dirty`](Self::flush_dirty).
     flush_levels: Vec<Vec<u32>>,
+    /// Scratch buffers reused across updates, so a steady-state update
+    /// allocates nothing: the level being flushed, the level being
+    /// reclustered, the parents created at that level, and one hub's
+    /// neighbours in Phase A.
+    flush_work: Vec<u32>,
+    roots: Vec<u32>,
+    new_parents: Vec<u32>,
+    hub_nbrs: Vec<u32>,
     /// Cached block folds, keyed by cluster id; present exactly for the
     /// clusters with more than `B` children.
     folds: FxHashMap<u32, FoldTree<M>>,
@@ -430,6 +449,10 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             pending: Vec::new(),
             dirty: Vec::new(),
             flush_levels: Vec::new(),
+            flush_work: Vec::new(),
+            roots: Vec::new(),
+            new_parents: Vec::new(),
+            hub_nbrs: Vec::new(),
             folds: FxHashMap::default(),
             num_edges: 0,
         };
@@ -494,17 +517,12 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     fn relocate_cluster(&mut self, from: ClusterId) {
         let from = narrow(from);
         let to = slab_id(self.clusters.len());
-        let dead = Cluster {
-            parent: NIL32,
-            level: 0,
-            alive: false,
-            slot: 0,
-            neighbors: Vec::new(),
-            children: Vec::new(),
-            summary: Summary::empty(),
-        };
-        let cluster = std::mem::replace(&mut self.clusters[from], dead);
+        let dead = Cluster::unlinked(0, false, Summary::empty());
+        let mut cluster = std::mem::replace(&mut self.clusters[from], dead);
         debug_assert!(cluster.level > 0, "leaves are never relocated");
+        // a dirty-list entry names the old id and does not follow the move:
+        // the cluster must be queued afresh under `to`
+        cluster.queued = false;
         if cluster.parent != NIL32 {
             self.clusters[cluster.parent].children[cluster.slot as usize] = to;
         }
@@ -925,8 +943,14 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         self.pending[level].push(c);
     }
 
+    /// Queues `c` for a summary refresh, once: a cluster already queued is
+    /// not pushed again, so the dirty list needs no sort or dedup.
     pub(crate) fn mark_dirty(&mut self, c: u32) {
-        self.dirty.push(c);
+        let cl = &mut self.clusters[c];
+        if !cl.queued {
+            cl.queued = true;
+            self.dirty.push(c);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -936,7 +960,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     fn recluster(&mut self) {
         let mut level = 0;
         // swapped with each level's bucket, so the buffers are reused
-        let mut roots: Vec<u32> = Vec::new();
+        let mut roots = std::mem::take(&mut self.roots);
         while level < self.pending.len() {
             if self.pending[level].is_empty() {
                 level += 1;
@@ -945,6 +969,8 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             roots.clear();
             std::mem::swap(&mut roots, &mut self.pending[level]);
             roots.retain(|&c| self.is_unparented_root(c, level));
+            // the merge order fixes the hierarchy's shape: process the
+            // roots in id order, whatever order they were pushed in
             roots.sort_unstable();
             roots.dedup();
             if roots.is_empty() {
@@ -958,10 +984,12 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             // do not advance: the level may have received new pending roots
             // (e.g. children of clusters deleted while absorbing neighbours)
         }
+        roots.clear();
+        self.roots = roots;
     }
 
     fn recluster_level(&mut self, level: usize, roots: &[u32]) {
-        let mut new_parents: Vec<u32> = Vec::new();
+        let mut new_parents = std::mem::take(&mut self.new_parents);
 
         // Phase A (UFO only): high-degree root clusters absorb all their
         // degree-1 neighbours.
@@ -972,12 +1000,9 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
                 }
                 let p = self.new_cluster(level as u32 + 1);
                 self.attach_child(x, p);
-                let nbrs: Vec<u32> = self.clusters[x]
-                    .neighbors
-                    .iter()
-                    .map(|e| e.neighbor)
-                    .collect();
-                for y in nbrs {
+                let mut nbrs = std::mem::take(&mut self.hub_nbrs);
+                nbrs.extend(self.clusters[x].neighbors.iter().map(|e| e.neighbor));
+                for &y in &nbrs {
                     if !self.clusters[y].alive || self.clusters[y].degree() != 1 {
                         continue;
                     }
@@ -988,6 +1013,8 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
                         self.attach_child(y, p);
                     }
                 }
+                nbrs.clear();
+                self.hub_nbrs = nbrs;
                 new_parents.push(p);
             }
         }
@@ -1090,6 +1117,8 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             self.mark_dirty(p);
             self.push_pending(p);
         }
+        new_parents.clear();
+        self.new_parents = new_parents;
     }
 
     fn is_unparented_root(&self, c: u32, level: usize) -> bool {
@@ -1114,22 +1143,24 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         p != NIL32 && self.clusters[p].fanout() >= 2
     }
 
+    /// A fresh cluster at `level`.  A freed slot is reset in place, so its
+    /// new tenant takes over the cleared `neighbors`/`children` buffers
+    /// [`delete_cluster`](Self::delete_cluster) left there.  `queued` is
+    /// kept: a slot freed mid-update may still sit on the dirty list.
     fn new_cluster(&mut self, level: u32) -> u32 {
-        let cluster = Cluster {
-            parent: NIL32,
-            level,
-            alive: true,
-            slot: 0,
-            neighbors: Vec::new(),
-            children: Vec::new(),
-            summary: Summary::empty(),
-        };
         if let Some(id) = self.free.pop() {
-            self.clusters[id] = cluster;
+            let cl = &mut self.clusters[id];
+            debug_assert!(!cl.alive && cl.neighbors.is_empty() && cl.children.is_empty());
+            cl.parent = NIL32;
+            cl.level = level;
+            cl.alive = true;
+            cl.slot = 0;
+            cl.summary = Summary::empty();
             id
         } else {
             let id = slab_id(self.clusters.len());
-            self.clusters.push(cluster);
+            self.clusters
+                .push(Cluster::unlinked(level, true, Summary::empty()));
             id
         }
     }
@@ -1204,6 +1235,12 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// ancestors, bottom-up.  Each recomputed child marks its fold block in
     /// the parent stale, so a parent with more than `B` children re-folds
     /// only those blocks and the fold-tree path above them.
+    ///
+    /// A cluster's `queued` bit stays set from [`mark_dirty`](Self::mark_dirty)
+    /// until its summary is recomputed, and parents are queued through the
+    /// same bit, so every level bucket holds each id once.  A summary
+    /// depends only on the children's summaries, which are final before
+    /// their level is processed, so the order inside a level is free.
     pub(crate) fn flush_dirty(&mut self) {
         if self.dirty.is_empty() {
             return;
@@ -1212,43 +1249,48 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         // clusters push their parents one level up
         let mut levels = std::mem::take(&mut self.flush_levels);
         for &c in &self.dirty {
-            let cl = &self.clusters[c];
+            let cl = &mut self.clusters[c];
             if cl.alive {
                 let l = cl.level as usize;
                 if levels.len() <= l {
                     levels.resize_with(l + 1, Vec::new);
                 }
                 levels[l].push(c);
+            } else {
+                // freed after it was queued; nothing to recompute
+                cl.queued = false;
             }
         }
         self.dirty.clear();
-        let mut work: Vec<u32> = Vec::new();
+        let mut work = std::mem::take(&mut self.flush_work);
         let mut l = 0;
         while l < levels.len() {
             std::mem::swap(&mut work, &mut levels[l]);
-            work.sort_unstable();
-            work.dedup();
             for &c in &work {
-                if !self.clusters[c].alive {
-                    continue;
-                }
+                debug_assert!(self.clusters[c].alive, "flush reached a dead cluster {c}");
                 let pendants = self.pendant_fold(c);
                 let s = self.compute_summary(c, &pendants);
                 let cl = &mut self.clusters[c];
                 cl.summary = s;
+                cl.queued = false;
                 let (parent, slot) = (cl.parent, cl.slot);
                 if parent != NIL32 {
                     self.touch_slot(parent, slot);
-                    if levels.len() <= l + 1 {
-                        levels.resize_with(l + 2, Vec::new);
+                    let pc = &mut self.clusters[parent];
+                    if !pc.queued {
+                        pc.queued = true;
+                        if levels.len() <= l + 1 {
+                            levels.resize_with(l + 2, Vec::new);
+                        }
+                        levels[l + 1].push(parent);
                     }
-                    levels[l + 1].push(parent);
                 }
             }
             work.clear();
             l += 1;
         }
         self.flush_levels = levels;
+        self.flush_work = work;
     }
 
     /// The fold of `c`'s pendant children: folded directly for at most `B`
@@ -1557,6 +1599,20 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// tests on small inputs; cost is O(n · height).
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.len();
+        // 0. between updates nothing is queued, and every freed slot is dead
+        //    and holds cleared buffers for its next tenant
+        if !self.dirty.is_empty() || self.pending.iter().any(|b| !b.is_empty()) {
+            return Err("dirty or pending work left between updates".into());
+        }
+        if let Some(id) = self.clusters.iter().position(|c| c.queued) {
+            return Err(format!("cluster {} is still queued between updates", id));
+        }
+        for &id in &self.free {
+            let c = &self.clusters[id];
+            if c.alive || !c.neighbors.is_empty() || !c.children.is_empty() {
+                return Err(format!("freelist slot {} is live or holds entries", id));
+            }
+        }
         // 1. leaf adjacency is symmetric and defines a forest
         let mut dsu = vec![usize::MAX; n];
         fn find(dsu: &mut Vec<usize>, x: usize) -> usize {
