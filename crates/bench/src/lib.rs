@@ -726,7 +726,7 @@ where
             engine
                 .try_set_weight(u, rng.random_range(-500..=500))
                 .expect("in-range vertex on a weighted backend");
-        } else if let Some(a) = engine.path_agg(u, v) {
+        } else if let Ok(Some(a)) = engine.try_path_agg(u, v) {
             checksum = checksum
                 .wrapping_add(a.sum as u64)
                 .wrapping_add(a.edges)

@@ -1,6 +1,6 @@
 //! The [`SpanningBackend`] trait: what the connectivity engine needs from a
-//! dynamic-tree structure, implemented here for every forest the workspace
-//! ships.
+//! dynamic-tree structure, implemented here for the forests the engine races
+//! (ufo, link-cut, Euler tour) and the naive oracle.
 //!
 //! The engine owns the decision of *which* edges form the spanning forest;
 //! the backend only ever sees link/cut operations that keep it a forest, so
@@ -12,13 +12,13 @@
 //! distinguish "aggregate is zero" from "backend is unweighted" instead of
 //! silently returning wrong answers.
 
-use dyntree_euler::{BatchEulerForest, EulerTourForest};
+use dyntree_euler::EulerTourForest;
 use dyntree_linkcut::LinkCutForest;
 use dyntree_naive::NaiveForest;
-use dyntree_primitives::algebra::{ActionOf, Agg, CommutativeMonoid, SumMinMax, WeightOf};
+use dyntree_primitives::algebra::{ActionOf, Agg, CommutativeMonoid, WeightOf};
 use dyntree_primitives::ops::EdgeKind;
 use dyntree_seqs::DynSequence;
-use ufo_forest::{TopologyForest, UfoForest};
+use ufo_forest::UfoForest;
 
 /// A dynamic-tree structure able to host the spanning forest of a
 /// [`DynConnectivity`](crate::DynConnectivity) engine.
@@ -33,7 +33,8 @@ use ufo_forest::{TopologyForest, UfoForest};
 /// automatic).
 pub trait SpanningBackend: Send + Sync {
     /// The monoid the backend's vertex weights aggregate under.  Unweighted
-    /// backends still pick one (conventionally [`SumMinMax`]) but report
+    /// backends still pick one (conventionally
+    /// [`SumMinMax`](dyntree_primitives::algebra::SumMinMax)) but report
     /// `WEIGHTED = false` and decline `set_weight`.
     type Weights: CommutativeMonoid;
 
@@ -44,11 +45,12 @@ pub trait SpanningBackend: Send + Sync {
     /// `set_weight` returns `false` and the aggregate queries return `None`.
     const WEIGHTED: bool;
 
-    /// Whether [`path_agg`](Self::path_agg) can answer (exactly).  `false`
-    /// for the ternarized topology backend, whose spanning-tree path answers
-    /// would be inexact at interior degree ≥ 4.  The engine uses this to
-    /// report [`UnsupportedQuery`](dyntree_primitives::ops::GraphError)
-    /// instead of conflating "unsupported" with "disconnected".
+    /// Whether [`path_agg`](Self::path_agg) can answer (exactly).  Every
+    /// in-tree backend can; a backend whose spanning-tree path answers would
+    /// be inexact (a ternarized contraction at interior degree ≥ 4, say)
+    /// sets it `false`, and the engine then reports
+    /// [`UnsupportedQuery`](dyntree_primitives::ops::GraphError) instead of
+    /// conflating "unsupported" with "disconnected".
     const SUPPORTS_PATH_AGG: bool;
 
     /// Whether [`component_agg`](Self::component_agg) can answer.  `false`
@@ -284,72 +286,6 @@ impl<M: CommutativeMonoid> SpanningBackend for UfoForest<M> {
     }
 }
 
-impl<M: CommutativeMonoid> SpanningBackend for TopologyForest<M> {
-    type Weights = M;
-    const NAME: &'static str = "topology";
-    const WEIGHTED: bool = true;
-    // Ternarized path answers are inexact at interior degree ≥ 4, so the
-    // engine must treat path aggregates as unsupported here.
-    const SUPPORTS_PATH_AGG: bool = false;
-    const SUPPORTS_COMPONENT_AGG: bool = true;
-    const SNAPSHOT_QUERIES: bool = true;
-
-    fn new(n: usize) -> Self {
-        TopologyForest::new(n)
-    }
-    fn ensure_vertices(&mut self, n: usize) {
-        TopologyForest::ensure_vertices(self, n)
-    }
-    fn link(&mut self, u: usize, v: usize) -> bool {
-        TopologyForest::link(self, u, v)
-    }
-    fn cut(&mut self, u: usize, v: usize) -> bool {
-        TopologyForest::cut(self, u, v)
-    }
-    fn connected(&mut self, u: usize, v: usize) -> bool {
-        TopologyForest::connected(self, u, v)
-    }
-    fn connected_snapshot(&self, u: usize, v: usize) -> Option<bool> {
-        Some(TopologyForest::connected(self, u, v))
-    }
-    fn edge_kind_snapshot(&self, u: usize, v: usize) -> Option<EdgeKind> {
-        Some(if TopologyForest::has_edge(self, u, v) {
-            EdgeKind::Tree
-        } else {
-            EdgeKind::NonTree
-        })
-    }
-    fn set_weight(&mut self, v: usize, w: WeightOf<M>) -> bool {
-        TopologyForest::set_weight(self, v, w);
-        true
-    }
-    fn vertex_weight(&mut self, v: usize) -> Option<WeightOf<M>> {
-        Some(TopologyForest::weight(self, v))
-    }
-    // Bulk applies decline, like ufo: the ternarized contraction engine has
-    // no lazy-tag channel, and a component-wide action would also have to
-    // skip phantom ternarization slots.
-    fn component_size(&mut self, v: usize) -> Option<u64> {
-        Some(TopologyForest::component_size(self, v))
-    }
-    fn component_agg(&mut self, v: usize) -> Option<Agg<M>> {
-        Some(TopologyForest::component_aggregate(self, v))
-    }
-    // path_agg deliberately stays at the unsupported default: ternarized path
-    // aggregates are inexact for interior vertices of degree ≥ 4 (see
-    // `TopologyForest::path_sum`), and the engine must not serve approximate
-    // answers for a general graph's spanning-tree paths.
-    fn export_components(&self, out: &mut Vec<usize>) -> bool {
-        let eng = self.engine();
-        out.clear();
-        out.extend((0..self.len()).map(|v| eng.top_cluster(v)));
-        true
-    }
-    fn memory_bytes(&self) -> usize {
-        TopologyForest::memory_bytes(self)
-    }
-}
-
 impl<M: CommutativeMonoid> SpanningBackend for LinkCutForest<M> {
     type Weights = M;
     const NAME: &'static str = "linkcut";
@@ -450,53 +386,6 @@ impl<M: CommutativeMonoid, S: DynSequence<M>> SpanningBackend for EulerTourFores
     }
 }
 
-impl<S: DynSequence<SumMinMax>> SpanningBackend for BatchEulerForest<S> {
-    type Weights = SumMinMax;
-    const NAME: &'static str = "euler-batch";
-    const WEIGHTED: bool = true;
-    const SUPPORTS_PATH_AGG: bool = true;
-    const SUPPORTS_COMPONENT_AGG: bool = true;
-    const SUPPORTS_COMPONENT_APPLY: bool = true;
-
-    fn new(n: usize) -> Self {
-        BatchEulerForest::new(n)
-    }
-    fn ensure_vertices(&mut self, n: usize) {
-        BatchEulerForest::ensure_vertices(self, n)
-    }
-    fn link(&mut self, u: usize, v: usize) -> bool {
-        self.forest_mut().link(u, v)
-    }
-    fn cut(&mut self, u: usize, v: usize) -> bool {
-        self.forest_mut().cut(u, v)
-    }
-    fn connected(&mut self, u: usize, v: usize) -> bool {
-        self.forest_mut().connected(u, v)
-    }
-    fn set_weight(&mut self, v: usize, w: i64) -> bool {
-        self.forest_mut().set_weight(v, w);
-        true
-    }
-    fn vertex_weight(&mut self, v: usize) -> Option<i64> {
-        Some(self.forest().weight(v))
-    }
-    fn component_apply(&mut self, v: usize, act: ActionOf<SumMinMax>) -> Option<u64> {
-        Some(self.forest_mut().component_apply(v, act))
-    }
-    fn component_size(&mut self, v: usize) -> Option<u64> {
-        Some(self.forest_mut().component_size(v) as u64)
-    }
-    fn component_agg(&mut self, v: usize) -> Option<Agg<SumMinMax>> {
-        Some(self.forest_mut().component_aggregate(v))
-    }
-    fn path_agg(&mut self, u: usize, v: usize) -> Option<Agg<SumMinMax>> {
-        self.forest_mut().path_aggregate(u, v)
-    }
-    fn memory_bytes(&self) -> usize {
-        BatchEulerForest::memory_bytes(self)
-    }
-}
-
 impl<M: CommutativeMonoid> SpanningBackend for NaiveForest<M> {
     type Weights = M;
     const NAME: &'static str = "naive";
@@ -569,6 +458,7 @@ impl<M: CommutativeMonoid> SpanningBackend for NaiveForest<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dyntree_primitives::algebra::SumMinMax;
     use dyntree_seqs::TreapSequence;
 
     fn exercise<B: SpanningBackend>() {
@@ -711,10 +601,8 @@ mod tests {
     #[test]
     fn every_backend_supports_growth() {
         exercise_growth::<UfoForest>();
-        exercise_growth::<TopologyForest>();
         exercise_growth::<LinkCutForest>();
         exercise_growth::<EulerTourForest<TreapSequence>>();
-        exercise_growth::<BatchEulerForest<TreapSequence>>();
         exercise_growth::<NaiveForest>();
     }
 
@@ -728,10 +616,8 @@ mod tests {
             assert!(!b.connected(0, 1), "{}", B::NAME);
         }
         go::<UfoForest>();
-        go::<TopologyForest>();
         go::<LinkCutForest>();
         go::<EulerTourForest<TreapSequence>>();
-        go::<BatchEulerForest<TreapSequence>>();
         go::<NaiveForest>();
     }
 
@@ -752,10 +638,8 @@ mod tests {
             }
         }
         go::<UfoForest>();
-        go::<TopologyForest>();
         go::<LinkCutForest>();
         go::<EulerTourForest<TreapSequence>>();
-        go::<BatchEulerForest<TreapSequence>>();
         go::<NaiveForest>();
     }
 
@@ -780,10 +664,8 @@ mod tests {
             }
         }
         go::<UfoForest>();
-        go::<TopologyForest>();
         go::<LinkCutForest>();
         go::<EulerTourForest<TreapSequence>>();
-        go::<BatchEulerForest<TreapSequence>>();
         go::<NaiveForest>();
     }
 
@@ -812,40 +694,32 @@ mod tests {
             }
         }
         go::<UfoForest>(true);
-        go::<TopologyForest>(true);
         go::<NaiveForest>(true);
         go::<LinkCutForest>(false);
         go::<EulerTourForest<TreapSequence>>(false);
-        go::<BatchEulerForest<TreapSequence>>(false);
     }
 
     #[test]
     fn every_forest_implements_the_backend() {
         exercise::<UfoForest>();
-        exercise::<TopologyForest>();
         exercise::<LinkCutForest>();
         exercise::<EulerTourForest<TreapSequence>>();
-        exercise::<BatchEulerForest<TreapSequence>>();
         exercise::<NaiveForest>();
     }
 
     #[test]
     fn bulk_applies_answer_iff_advertised() {
         exercise_bulk_applies::<UfoForest>();
-        exercise_bulk_applies::<TopologyForest>();
         exercise_bulk_applies::<LinkCutForest>();
         exercise_bulk_applies::<EulerTourForest<TreapSequence>>();
-        exercise_bulk_applies::<BatchEulerForest<TreapSequence>>();
         exercise_bulk_applies::<NaiveForest>();
     }
 
     #[test]
     fn weighted_surface_is_consistent() {
         exercise_weighted::<UfoForest>();
-        exercise_weighted::<TopologyForest>();
         exercise_weighted::<LinkCutForest>();
         exercise_weighted::<EulerTourForest<TreapSequence>>();
-        exercise_weighted::<BatchEulerForest<TreapSequence>>();
         exercise_weighted::<NaiveForest>();
     }
 }

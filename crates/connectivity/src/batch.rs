@@ -1188,7 +1188,7 @@ mod tests {
         );
         assert_eq!(report.outcomes[3], OpOutcome::WeightSet);
         assert_eq!(g.try_connected(0, 3), Ok(true));
-        assert_eq!(g.component_sum(3), Some(9));
+        assert_eq!(g.try_component_agg(3).map(|a| a.sum), Ok(9));
     }
 
     #[test]
@@ -1217,8 +1217,15 @@ mod tests {
                 Rejected(GraphError::UnsupportedQuery),
             ]
         );
-        assert_eq!(g.path_sum(0, 2), Some(7 + 30));
-        assert_eq!(g.path_sum(3, 4), Some(0), "other component untouched");
+        assert_eq!(
+            g.try_path_agg(0, 2).map(|a| a.map(|a| a.sum)),
+            Ok(Some(7 + 30))
+        );
+        assert_eq!(
+            g.try_path_agg(3, 4).map(|a| a.map(|a| a.sum)),
+            Ok(Some(0)),
+            "other component untouched"
+        );
 
         // Euler: component applies work, path applies decline.
         let mut g = EulerConnectivity::new(4);
@@ -1235,8 +1242,12 @@ mod tests {
                 Rejected(GraphError::UnsupportedQuery),
             ]
         );
-        assert_eq!(g.component_sum(0), Some(300));
-        assert_eq!(g.component_sum(3), Some(0), "isolated vertex untouched");
+        assert_eq!(g.try_component_agg(0).map(|a| a.sum), Ok(300));
+        assert_eq!(
+            g.try_component_agg(3).map(|a| a.sum),
+            Ok(0),
+            "isolated vertex untouched"
+        );
         // the bulk update is visible through per-vertex readback too
         assert_eq!(g.vertex_weight(1), Some(100));
     }

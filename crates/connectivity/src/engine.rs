@@ -1,7 +1,7 @@
 //! The [`DynConnectivity`] engine: a spanning forest in a pluggable backend,
 //! plus the HDT level machinery for replacement-edge search on deletions.
 
-use dyntree_primitives::algebra::{Action, ActionOf, Agg, SumMinMax, WeightOf};
+use dyntree_primitives::algebra::{Action, ActionOf, Agg, WeightOf};
 use dyntree_primitives::hash::{fx_map_with_capacity, FxHashMap};
 use dyntree_primitives::ops::{DeleteOutcome, EdgeKind, GraphError, MAX_VERTICES};
 use dyntree_primitives::telemetry::{Counter, TelemetrySnapshot};
@@ -263,11 +263,12 @@ impl<B: SpanningBackend> DynConnectivity<B> {
     /// [`GraphError::VertexOutOfRange`] for invalid ids,
     /// [`GraphError::Unweighted`] for unweighted backends, and
     /// [`GraphError::UnsupportedQuery`] when the backend has no lazy path
-    /// updates (ufo/topology/euler) or the weight monoid's action cannot
-    /// interpret an additive delta (see `Action::from_delta`).
+    /// updates (ufo/euler) or the weight monoid's action cannot interpret an
+    /// additive delta (see `Action::from_delta`).
     ///
-    /// Like [`path_agg`](Self::path_agg), the path is the *spanning-tree*
-    /// path the HDT engine happens to maintain, not a shortest path.
+    /// Like [`try_path_agg`](Self::try_path_agg), the path is the
+    /// *spanning-tree* path the HDT engine happens to maintain, not a
+    /// shortest path.
     pub fn try_path_apply(
         &mut self,
         u: Vertex,
@@ -610,32 +611,16 @@ impl<B: SpanningBackend> DynConnectivity<B> {
             .ok_or(GraphError::UnsupportedQuery)
     }
 
-    /// Monoid aggregate over `v`'s whole component, when the backend
-    /// supports component aggregates.  Out of range → `None`; prefer
-    /// [`try_component_agg`](Self::try_component_agg) to tell the cases
-    /// apart.
-    pub fn component_agg(&mut self, v: Vertex) -> Option<Agg<B::Weights>> {
-        self.try_component_agg(v).ok()
-    }
-
-    /// Monoid aggregate over the spanning-tree path between `u` and `v`.
-    /// `None` when the vertices are disconnected (or out of range), or when
-    /// the backend cannot answer path aggregates (e.g. the ternarized
-    /// topology backend, whose path answers would be inexact).
+    /// Monoid aggregate over the spanning-tree path between `u` and `v`,
+    /// with typed errors: `Err(VertexOutOfRange)` for invalid ids,
+    /// `Err(UnsupportedQuery)` for a backend that reports
+    /// `SUPPORTS_PATH_AGG = false` (no in-tree backend does), and
+    /// `Ok(None)` for a genuinely disconnected pair.
     ///
     /// On a general graph this is a *spanning-tree* path — the tree the HDT
     /// engine happens to maintain — not a shortest path.  Workloads that
     /// control which edges enter the forest (e.g. `examples/dynamic_mst.rs`,
     /// which only ever inserts forest edges) can rely on its exact shape.
-    pub fn path_agg(&mut self, u: Vertex, v: Vertex) -> Option<Agg<B::Weights>> {
-        self.try_path_agg(u, v).ok().flatten()
-    }
-
-    /// Typed variant of [`path_agg`](Self::path_agg), separating the three
-    /// ways it can decline: `Err(VertexOutOfRange)` for invalid ids,
-    /// `Err(UnsupportedQuery)` for backends whose path answers would be
-    /// inexact or absent (the ternarized topology backend), and `Ok(None)`
-    /// for a genuinely disconnected pair.
     pub fn try_path_agg(
         &mut self,
         u: Vertex,
@@ -796,27 +781,6 @@ impl<B: SpanningBackend> DynConnectivity<B> {
     }
 }
 
-/// `i64` conveniences for backends aggregating under the default monoid.
-impl<B: SpanningBackend<Weights = SumMinMax>> DynConnectivity<B> {
-    /// Sum of vertex weights in `v`'s component.  `None` when the backend
-    /// has no component aggregates (never a silent zero: an unweighted or
-    /// path-only backend reports `None`, a weighted one reports the true
-    /// sum even if it is `0`).
-    pub fn component_sum(&mut self, v: Vertex) -> Option<i64> {
-        self.component_agg(v).map(|a| a.sum)
-    }
-
-    /// Sum of vertex weights on the spanning-tree path between `u` and `v`.
-    pub fn path_sum(&mut self, u: Vertex, v: Vertex) -> Option<i64> {
-        self.path_agg(u, v).map(|a| a.sum)
-    }
-
-    /// Maximum vertex weight on the spanning-tree path between `u` and `v`.
-    pub fn path_max(&mut self, u: Vertex, v: Vertex) -> Option<i64> {
-        self.path_agg(u, v).map(|a| a.max)
-    }
-}
-
 /// Per-substructure heap-byte breakdown of a [`DynConnectivity`] engine.
 /// The adjacency lines are **exact** (flat arrays: `capacity × entry size`);
 /// the backend and edge-registry lines follow each structure's own
@@ -911,7 +875,6 @@ mod tests {
         triangle_replacement::<ufo_forest::UfoForest>();
         triangle_replacement::<dyntree_linkcut::LinkCutForest>();
         triangle_replacement::<dyntree_euler::EulerTourForest<dyntree_seqs::TreapSequence>>();
-        triangle_replacement::<ufo_forest::TopologyForest>();
         triangle_replacement::<dyntree_naive::NaiveForest>();
     }
 
@@ -985,7 +948,6 @@ mod tests {
             assert_eq!(g.len(), 4);
         }
         go::<ufo_forest::UfoForest>();
-        go::<ufo_forest::TopologyForest>();
         go::<dyntree_linkcut::LinkCutForest>();
         go::<dyntree_euler::EulerTourForest<dyntree_seqs::TreapSequence>>();
         go::<dyntree_naive::NaiveForest>();
@@ -1086,10 +1048,6 @@ mod tests {
         lct.try_insert_edge(0, 1).unwrap();
         assert_eq!(lct.try_component_agg(0), Err(GraphError::UnsupportedQuery));
         assert!(lct.try_path_agg(0, 1).unwrap().is_some());
-        let mut topo: DynConnectivity<ufo_forest::TopologyForest> = DynConnectivity::new(2);
-        topo.try_insert_edge(0, 1).unwrap();
-        assert_eq!(topo.try_path_agg(0, 1), Err(GraphError::UnsupportedQuery));
-        assert!(topo.try_component_agg(0).is_ok());
     }
 
     #[test]
@@ -1113,9 +1071,9 @@ mod tests {
             .outcomes
             .iter()
             .all(|o| *o == OpOutcome::Rejected(out_of_range(7))));
-        // the aggregate helpers keep their documented neutral answers
+        // component_size keeps its documented neutral answer
         assert_eq!(g.component_size(7), 0);
-        assert_eq!(g.component_sum(7), None);
+        assert_eq!(g.try_component_agg(7).map(|a| a.sum), Err(out_of_range(7)));
         assert_eq!(g.num_edges(), 1);
     }
 
@@ -1127,31 +1085,35 @@ mod tests {
         g.try_insert_edge(1, 2).unwrap();
         assert!(g.weighted());
         assert_eq!(g.try_set_weight(1, 0), Ok(()));
-        assert_eq!(g.component_sum(0), Some(0), "true zero, not a default");
+        assert_eq!(
+            g.try_component_agg(0).map(|a| a.sum),
+            Ok(0),
+            "true zero, not a default"
+        );
         assert_eq!(g.try_set_weight(1, 7), Ok(()));
-        assert_eq!(g.component_sum(0), Some(7));
-        let p = g.path_agg(0, 2).expect("ufo answers path aggregates");
+        assert_eq!(g.try_component_agg(0).map(|a| a.sum), Ok(7));
+        let p = g
+            .try_path_agg(0, 2)
+            .unwrap()
+            .expect("ufo answers path aggregates");
         assert_eq!(p.sum, 7);
         assert_eq!(p.edges, 2);
-        assert!(g.path_agg(0, 3).is_none(), "disconnected");
+        assert_eq!(g.try_path_agg(0, 3), Ok(None), "disconnected");
         assert!(g.try_set_weight(9, 1).is_err(), "out of range is declined");
 
         // Link-cut backend: paths yes, component aggregates no — and the
-        // engine reports the gap as None instead of a silent zero.
+        // engine reports the gap as a typed decline instead of a silent zero.
         let mut h = LinkCutConnectivity::new(3);
         h.try_insert_edge(0, 1).unwrap();
         assert_eq!(h.try_set_weight(0, 5), Ok(()));
-        assert_eq!(h.component_sum(0), None, "no component aggregates");
-        assert_eq!(h.path_sum(0, 1), Some(5));
-        assert_eq!(h.path_max(0, 1), Some(5));
-
-        // Topology backend: declines path aggregates (ternarized answers
-        // would be inexact) but answers component aggregates.
-        let mut t: DynConnectivity<ufo_forest::TopologyForest> = DynConnectivity::new(3);
-        t.try_insert_edge(0, 1).unwrap();
-        assert_eq!(t.try_set_weight(0, 3), Ok(()));
-        assert_eq!(t.component_sum(0), Some(3));
-        assert!(t.path_agg(0, 1).is_none());
+        assert_eq!(
+            h.try_component_agg(0),
+            Err(GraphError::UnsupportedQuery),
+            "no component aggregates"
+        );
+        let p = h.try_path_agg(0, 1).unwrap().expect("connected");
+        assert_eq!((p.sum, p.max), (5, 5));
+        assert_eq!(h.try_path_agg(0, 2), Ok(None), "disconnected");
     }
 
     #[test]

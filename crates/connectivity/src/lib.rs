@@ -1,16 +1,16 @@
 //! Batch-dynamic connectivity for **general graphs** on top of the
 //! workspace's dynamic-tree forests.
 //!
-//! The dynamic-tree structures of the paper (UFO trees, topology trees,
-//! link-cut trees, Euler tour trees) maintain *forests*; their headline
-//! application is dynamic connectivity on arbitrary graphs, where a spanning
-//! forest must survive arbitrary edge insertions **and deletions**.  This
-//! crate implements the Holm–de Lichtenberg–Thorup (HDT) level scheme:
+//! The dynamic-tree structures the paper races (UFO trees, link-cut trees,
+//! Euler tour trees) maintain *forests*; their headline application is
+//! dynamic connectivity on arbitrary graphs, where a spanning forest must
+//! survive arbitrary edge insertions **and deletions**.  This crate
+//! implements the Holm–de Lichtenberg–Thorup (HDT) level scheme:
 //!
 //! * a spanning forest of the current graph lives in a pluggable dynamic-tree
-//!   *backend* (anything implementing [`SpanningBackend`] — every forest in
-//!   this workspace does), which answers `connected` queries in the backend's
-//!   own query time;
+//!   *backend* (anything implementing [`SpanningBackend`] — the UFO, link-cut
+//!   and Euler tour forests and the naive oracle do), which answers
+//!   `connected` queries in the backend's own query time;
 //! * non-tree edges live in per-vertex, per-level adjacency structures
 //!   ([`levels::LevelAdjacency`]); every edge carries a level that only ever
 //!   increases, amortizing the replacement-edge searches that deletions of
@@ -78,9 +78,6 @@ pub type Vertex = usize;
 
 /// Dynamic connectivity over a UFO-tree spanning forest.
 pub type UfoConnectivity = DynConnectivity<ufo_forest::UfoForest>;
-
-/// Dynamic connectivity over a topology-tree (ternarized) spanning forest.
-pub type TopologyConnectivity = DynConnectivity<ufo_forest::TopologyForest>;
 
 /// Dynamic connectivity over a link-cut-tree spanning forest.
 pub type LinkCutConnectivity = DynConnectivity<dyntree_linkcut::LinkCutForest>;

@@ -32,11 +32,6 @@ impl<S: DynSequence> BatchEulerForest<S> {
         }
     }
 
-    /// Appends isolated vertices until the forest has `n` of them.
-    pub fn ensure_vertices(&mut self, n: usize) {
-        self.inner.ensure_vertices(n);
-    }
-
     /// Shared access to the underlying forest.
     pub fn forest(&self) -> &EulerTourForest<S> {
         &self.inner

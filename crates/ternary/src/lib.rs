@@ -101,26 +101,9 @@ impl Ternarizer {
         self.verts[v].slots[0]
     }
 
-    /// Appends original vertices until there are `n` of them, allocating one
-    /// primary slot each (recycled extra-slot ids are reused).  Returns the
-    /// new vertices' primary slot ids, so the wrapped structure can clear
-    /// their phantom flag.  A smaller `n` is a no-op.
-    pub fn grow(&mut self, n: usize) -> Vec<usize> {
-        let mut primaries = Vec::new();
-        while self.verts.len() < n {
-            let v = self.verts.len();
-            let s = self.alloc_slot(v);
-            self.verts.push(VertexPaths { slots: vec![s] });
-            primaries.push(s);
-        }
-        self.n = self.verts.len();
-        primaries
-    }
-
-    /// Whether underlying vertex `s` is a phantom (non-primary) slot.
-    /// Decided by ownership, not id range: a vertex added after
-    /// [`grow`](Self::grow) may have a primary slot with a high (or recycled)
-    /// id.
+    /// Whether underlying vertex `s` is a phantom (non-primary) slot,
+    /// decided by ownership: `s` is phantom unless it is its owner's primary
+    /// slot.
     pub fn is_phantom(&self, s: usize) -> bool {
         self.verts[self.slot_owner[s]].slots[0] != s
     }
@@ -445,41 +428,6 @@ mod tests {
             assert!(t.is_phantom(s));
             assert_eq!(t.owner(s), 0);
         }
-    }
-
-    #[test]
-    fn growth_allocates_primaries_and_keeps_phantomness_by_ownership() {
-        let mut t = Ternarizer::new(3);
-        let mut model = UnderlyingModel::default();
-        // force extra slots on 0, then free them
-        for v in 1..3 {
-            model.apply(&t.link(0, v).unwrap());
-        }
-        model.apply(&t.link(1, 2).unwrap_or_default());
-        for v in 1..3 {
-            model.apply(&t.cut(0, v).unwrap());
-        }
-        let primaries = t.grow(6);
-        assert_eq!(t.len(), 6);
-        assert_eq!(primaries.len(), 3);
-        for (i, &s) in primaries.iter().enumerate() {
-            let v = 3 + i;
-            assert_eq!(t.representative(v), s);
-            assert!(!t.is_phantom(s), "primary slot {s} of vertex {v}");
-            assert_eq!(t.owner(s), v);
-        }
-        // grown vertices participate in ternarization like any other
-        for v in [0, 1, 2, 4, 5] {
-            model.apply(&t.link(3, v).unwrap());
-            assert!(model.max_degree() <= 3);
-        }
-        assert!(t.underlying_len() <= Ternarizer::capacity_bound(6));
-        // extra slots of the new hub are phantom
-        for s in 0..t.underlying_len() {
-            let primary = t.representative(t.owner(s));
-            assert_eq!(t.is_phantom(s), primary != s);
-        }
-        assert!(t.grow(4).is_empty(), "shrinking is a no-op");
     }
 
     #[test]

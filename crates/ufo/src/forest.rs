@@ -226,29 +226,6 @@ impl<M: CommutativeMonoid> TopologyForest<M> {
         self.n
     }
 
-    /// Appends isolated original vertices until the forest has `n` of them.
-    ///
-    /// The underlying contraction engine is grown to the ternarizer's
-    /// capacity bound for the new vertex count; freshly grown underlying
-    /// slots default to phantom (they are ternarization helpers), and the
-    /// new vertices' primary slots — possibly recycled extra-slot ids — get
-    /// their phantom flag cleared so their weights count again.
-    pub fn ensure_vertices(&mut self, n: usize) {
-        if n <= self.n {
-            return;
-        }
-        let cap = Ternarizer::capacity_bound(n);
-        let old_cap = self.inner.len();
-        self.inner.ensure_vertices(cap);
-        for s in old_cap..cap {
-            self.inner.set_phantom(s, true);
-        }
-        for s in self.ternarizer.grow(n) {
-            self.inner.set_phantom(s, false);
-        }
-        self.n = n;
-    }
-
     /// Whether the forest has no vertices.
     pub fn is_empty(&self) -> bool {
         self.n == 0
@@ -556,34 +533,6 @@ mod tests {
         f.engine().check_invariants().unwrap();
         assert_eq!(f.component_size(0), 40);
         assert_eq!(f.component_diameter(0), 2);
-    }
-
-    #[test]
-    fn topology_growth_reuses_recycled_slots_correctly() {
-        let mut f: TopologyForest = TopologyForest::new(5);
-        for v in 0..5 {
-            f.set_weight(v, 1);
-        }
-        // star forces extra ternarization slots, teardown recycles them
-        for v in 1..5 {
-            assert!(f.link(0, v));
-        }
-        for v in 1..5 {
-            assert!(f.cut(0, v));
-        }
-        f.ensure_vertices(8);
-        assert_eq!(f.len(), 8);
-        // new vertices may sit on recycled (previously phantom) slots: their
-        // weights must count again
-        for v in 5..8 {
-            f.set_weight(v, 100);
-        }
-        assert!(f.link(4, 5));
-        assert!(f.link(5, 6));
-        assert!(f.connected(4, 6));
-        assert_eq!(f.component_aggregate(4).sum, 1 + 100 + 100);
-        assert_eq!(f.component_size(4), 3);
-        f.engine().check_invariants().unwrap();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Batch-dynamic streaming through the `GraphOp` transaction surface: ingest
 //! a stream of edge batches (the Figure 8 / Figure 9 workload shape) into
-//! two connectivity engines — UFO forest vs batch Euler tour forest — with
+//! two connectivity engines — UFO forest vs treap Euler tour forest — with
 //! `apply(&[GraphOp])`, printing each transaction's [`BatchReport`] counters
 //! and racing batch connectivity queries between transactions.
 //!
@@ -20,7 +20,7 @@ use std::time::Instant;
 use ufo_trees::connectivity::DynConnectivity;
 use ufo_trees::seqs::TreapSequence;
 use ufo_trees::workloads::preferential_attachment_tree;
-use ufo_trees::{BatchEulerForest, GraphOp, UfoForest};
+use ufo_trees::{EulerTourForest, GraphOp, UfoForest};
 
 fn main() {
     let n = 100_000;
@@ -31,7 +31,7 @@ fn main() {
     edges.shuffle(&mut rng);
 
     let mut ufo: DynConnectivity<UfoForest> = DynConnectivity::new(0);
-    let mut ett: DynConnectivity<BatchEulerForest<TreapSequence>> = DynConnectivity::new(0);
+    let mut ett: DynConnectivity<EulerTourForest<TreapSequence>> = DynConnectivity::new(0);
 
     println!(
         "streaming {} edges in GraphOp transactions of {}",

@@ -16,7 +16,7 @@
 //! its id ([`WeightedId`]) under the [`MaxEdge`] argmax monoid, and real
 //! vertices carry the monoid identity.  The engine is a plain
 //! [`DynConnectivity`] over a link-cut backend instantiated at `MaxEdge`;
-//! `path_agg` then *is* max-edge-on-path, and its `id` names the edge to
+//! `try_path_agg` then *is* max-edge-on-path, and its `id` names the edge to
 //! evict.  Every maintained state is verified against a from-scratch Kruskal
 //! recompute over all edges inserted so far.
 //!
@@ -25,7 +25,7 @@
 //! `try_path_apply` — an O(log n) lazy tag instead of the pre-action
 //! alternative, one `SetWeight` per touched edge (O(k log n) for a
 //! k-edge corridor).  A uniform shift moves every argmax candidate by the
-//! same amount, so `MaxEdge` keeps its carrier ids and `path_agg` keeps
+//! same amount, so `MaxEdge` keeps its carrier ids and `try_path_agg` keeps
 //! naming real edges; and since decay only *lowers* forest-edge weights,
 //! every previously discarded edge stays the maximum of its cycle and the
 //! maintained forest stays exactly Kruskal-optimal — which the verifier
@@ -78,7 +78,8 @@ impl IncrementalMsf {
             // the only weight carriers, so the argmax names a forest edge.
             let top = self
                 .engine
-                .path_agg(u, v)
+                .try_path_agg(u, v)
+                .expect("link-cut answers path aggregates")
                 .expect("connected ⇒ path aggregate")
                 .value;
             debug_assert!(top.is_some(), "tree path must carry at least one edge");

@@ -10,15 +10,16 @@
 //!   nearest-marked-vertex queries, plus batch updates and parallel batch
 //!   queries.
 //! * [`TopologyForest`] — topology trees (pair merges + dynamic
-//!   ternarization), sharing the same contraction engine.
+//!   ternarization), sharing the same contraction engine; also the
+//!   workspace's RC-tree stand-in (DESIGN.md §5.1).
 //! * [`LinkCutForest`] — splay-based link-cut trees, the strongest sequential
 //!   baseline.
 //! * [`TreapEulerForest`] / [`SplayEulerForest`] / [`BatchEulerForest`] —
 //!   Euler tour trees over pluggable sequence backends.
 //! * [`NaiveForest`] — an O(n)-per-operation oracle used by the test suite.
 //! * [`DynConnectivity`] — fully-dynamic connectivity on **general graphs**
-//!   (HDT levels), generic over any of the forests above as its
-//!   spanning-forest backend ([`UfoConnectivity`], [`LinkCutConnectivity`],
+//!   (HDT levels), generic over its spanning-forest backend: UFO, link-cut,
+//!   Euler tour or naive ([`UfoConnectivity`], [`LinkCutConnectivity`],
 //!   [`EulerConnectivity`], ...).
 //! * [`ServingEngine`] — the epoch-snapshot serving layer over
 //!   [`DynConnectivity`]: a single writer applies batches and publishes
@@ -36,7 +37,6 @@ pub use dyntree_euler as euler;
 pub use dyntree_linkcut as linkcut;
 pub use dyntree_naive as naive;
 pub use dyntree_primitives as primitives;
-pub use dyntree_rctree as rctree;
 pub use dyntree_seqs as seqs;
 pub use dyntree_serve as serve;
 pub use dyntree_ternary as ternary;
@@ -45,8 +45,7 @@ pub use ufo_forest as ufo;
 
 pub use dyntree_connectivity::{
     BatchReport, DeleteOutcome, DynConnectivity, EdgeKind, EulerConnectivity, GraphError, GraphOp,
-    LinkCutConnectivity, NaiveConnectivity, OpOf, OpOutcome, SpanningBackend, TopologyConnectivity,
-    UfoConnectivity,
+    LinkCutConnectivity, NaiveConnectivity, OpOf, OpOutcome, SpanningBackend, UfoConnectivity,
 };
 pub use dyntree_euler::{BatchEulerForest, EulerTourForest, SplayEulerForest, TreapEulerForest};
 pub use dyntree_linkcut::LinkCutForest;

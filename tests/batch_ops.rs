@@ -139,13 +139,14 @@ fn check_backend<B: SpanningBackend<Weights = SumMinMax>>(
             );
         }
     }
-    // weighted component sums where the backend supports them
+    // whole component aggregates (sum, min, max, count) where the backend
+    // supports them
     if B::SUPPORTS_COMPONENT_AGG {
         for v in 0..n {
             prop_assert_eq!(
-                g.component_sum(v),
-                oracle.component_sum(v),
-                "[{}] component_sum({})",
+                g.try_component_agg(v),
+                oracle.try_component_agg(v),
+                "[{}] component_agg({})",
                 B::NAME,
                 v
             );
