@@ -1,5 +1,5 @@
-//! Benchmark harness shared by the figure/table binaries, the baseline
-//! recorder and gate ([`baseline`]), and the criterion benches.
+//! Benchmark harness shared by the figure/table binaries and the baseline
+//! recorder and gate ([`baseline`]).
 //!
 //! Every structure is driven through the [`DynTree`] adapter so that each
 //! experiment applies *exactly* the same operation stream to every contender.

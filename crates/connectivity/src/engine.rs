@@ -3,7 +3,7 @@
 
 use dyntree_primitives::algebra::{Action, ActionOf, Agg, WeightOf};
 use dyntree_primitives::hash::{fx_map_with_capacity, FxHashMap};
-use dyntree_primitives::ops::{DeleteOutcome, EdgeKind, GraphError, MAX_VERTICES};
+use dyntree_primitives::ops::{assert_id_space, DeleteOutcome, EdgeKind, GraphError, MAX_VERTICES};
 use dyntree_primitives::telemetry::{Counter, TelemetrySnapshot};
 use dyntree_primitives::{Dsu, ParallelConfig, Telemetry};
 
@@ -49,14 +49,6 @@ pub struct DynConnectivity<B: SpanningBackend> {
     /// Monotone batch counter: bumped once per successful [`apply`], the
     /// canonical epoch id for snapshot publication.
     pub(crate) version: u64,
-}
-
-/// Panics unless `n` vertices fit the u32 id storage every structure uses.
-fn assert_id_space(n: usize) {
-    assert!(
-        n <= MAX_VERTICES,
-        "vertex count {n} exceeds the u32 id space ({MAX_VERTICES} vertices)"
-    );
 }
 
 impl<B: SpanningBackend> DynConnectivity<B> {
@@ -882,6 +874,43 @@ mod tests {
     #[should_panic(expected = "exceeds the u32 id space")]
     fn new_refuses_more_vertices_than_u32_ids() {
         let _ = UfoConnectivity::new(MAX_VERTICES + 1);
+    }
+
+    /// The panic message of `f`, which must panic.
+    fn panic_message<R>(f: impl FnOnce() -> R + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f)
+            .err()
+            .expect("call did not panic");
+        *payload
+            .downcast::<String>()
+            .expect("formatted panic message")
+    }
+
+    #[test]
+    fn forests_refuse_more_vertices_than_u32_ids() {
+        // each guard fires before the first allocation, which would
+        // otherwise ask for hundreds of GiB
+        use dyntree_euler::EulerTourForest;
+        use dyntree_linkcut::LinkCutForest;
+        use dyntree_naive::NaiveForest;
+        use dyntree_primitives::algebra::SumMinMax;
+        use dyntree_seqs::TreapSequence;
+        use ufo_forest::{ContractionForest, Policy};
+        type Contraction = ContractionForest<SumMinMax>;
+        let n = MAX_VERTICES + 1;
+        let messages = [
+            panic_message(|| Contraction::new(n, Policy::Ufo)),
+            panic_message(|| Contraction::new(1, Policy::Ufo).ensure_vertices(n)),
+            panic_message(|| LinkCutForest::<SumMinMax>::new(n)),
+            panic_message(|| LinkCutForest::<SumMinMax>::new(1).ensure_vertices(n)),
+            panic_message(|| EulerTourForest::<TreapSequence>::new(n)),
+            panic_message(|| EulerTourForest::<TreapSequence>::new(1).ensure_vertices(n)),
+            panic_message(|| NaiveForest::<SumMinMax>::new(n)),
+            panic_message(|| NaiveForest::<SumMinMax>::new(1).ensure_vertices(n)),
+        ];
+        for msg in messages {
+            assert!(msg.contains("exceeds the u32 id space"), "{msg}");
+        }
     }
 
     #[test]

@@ -2,19 +2,16 @@
 //!
 //! The paper's parallel ETT [Tseng et al. 2019] processes a batch of links or
 //! cuts with a phase-concurrent skip list.  This front-end keeps the batch
-//! *interface* (deduplicated, validated batches of links and cuts) and
-//! parallelises the batch preparation (canonical orientation, self-loop
-//! filtering, a sort and a dedup) — real pool threads once a batch passes
-//! the `worth_parallel` grain, with byte-identical output at every thread
-//! count — while the tour splicing itself runs sequentially over the
-//! prepared batch, one `link`/`cut` per edge, and those calls skip
-//! cycle-closing, duplicate and missing edges.  `DESIGN.md` §5 records this substitution; the
-//! batch benchmarks measure both this front-end and the UFO batch updates the
+//! *interface* only, and the batch path is sequential: the batch is
+//! normalised (canonical orientation, self-loop filtering, a sort and a
+//! dedup — [`normalize_batch`]), then the tour splicing runs one
+//! `link`/`cut` per edge, and those calls skip cycle-closing, duplicate and
+//! missing edges.  `DESIGN.md` §5 records this substitution; the batch
+//! benchmarks measure both this front-end and the UFO batch updates the
 //! same way (wall-clock per batch).
 
-use dyntree_primitives::Dsu;
+use dyntree_primitives::ops::normalize_batch;
 use dyntree_seqs::DynSequence;
-use rayon::prelude::*;
 
 use crate::EulerTourForest;
 
@@ -57,8 +54,8 @@ impl<S: DynSequence> BatchEulerForest<S> {
         applied
     }
 
-    /// Applies a batch of edge deletions.  Returns the number of edges
-    /// actually removed.
+    /// Applies a batch of edge deletions.  Self loops, duplicates and absent
+    /// edges are skipped.  Returns the number of edges actually removed.
     pub fn batch_cut(&mut self, edges: &[(usize, usize)]) -> usize {
         let cleaned = normalize_batch(edges);
         let mut applied = 0;
@@ -70,55 +67,10 @@ impl<S: DynSequence> BatchEulerForest<S> {
         applied
     }
 
-    /// Answers a batch of connectivity queries.
-    pub fn batch_connected(&mut self, queries: &[(usize, usize)]) -> Vec<bool> {
-        queries
-            .iter()
-            .map(|&(u, v)| self.inner.connected(u, v))
-            .collect()
-    }
-
     /// Exact heap bytes owned by the structure.
     pub fn memory_bytes(&self) -> usize {
         self.inner.memory_bytes()
     }
-}
-
-/// Deduplicates a batch (in parallel for large batches) and canonicalises the
-/// edge orientation.  Self loops are dropped.
-fn normalize_batch(edges: &[(usize, usize)]) -> Vec<(usize, usize)> {
-    let mut cleaned: Vec<(usize, usize)> = if dyntree_primitives::worth_parallel(edges.len()) {
-        edges
-            .par_iter()
-            .filter(|(u, v)| u != v)
-            .map(|&(u, v)| (u.min(v), u.max(v)))
-            .collect()
-    } else {
-        edges
-            .iter()
-            .filter(|(u, v)| u != v)
-            .map(|&(u, v)| (u.min(v), u.max(v)))
-            .collect()
-    };
-    if dyntree_primitives::worth_parallel(cleaned.len()) {
-        cleaned.par_sort_unstable();
-    } else {
-        cleaned.sort_unstable();
-    }
-    cleaned.dedup();
-    cleaned
-}
-
-/// Filters a batch of candidate links down to a sub-batch that is acyclic with
-/// respect to itself (utility shared with the benchmark harness so every
-/// structure receives identical valid batches).
-pub fn acyclic_sub_batch(n: usize, edges: &[(usize, usize)]) -> Vec<(usize, usize)> {
-    let mut dsu = Dsu::new(n);
-    edges
-        .iter()
-        .copied()
-        .filter(|&(u, v)| u != v && dsu.union(u, v))
-        .collect()
 }
 
 #[cfg(test)]
@@ -138,6 +90,11 @@ mod tests {
         assert_eq!(f.batch_cut(&half), half.len());
         assert!(!f.forest_mut().connected(0, n - 1));
         assert_eq!(f.forest().num_edges(), n - 1 - half.len());
+        // a reversed duplicate, a self loop and an absent edge are skipped
+        let applied = f.batch_cut(&[(2, 1), (1, 2), (7, 7), (0, 1), (3, 4)]);
+        assert_eq!(applied, 2, "only (1,2) and (3,4) are live");
+        assert!(!f.forest_mut().connected(1, 2) && !f.forest_mut().connected(3, 4));
+        assert_eq!(f.forest().num_edges(), n - 3 - half.len());
     }
 
     #[test]
@@ -152,15 +109,11 @@ mod tests {
     #[test]
     fn batch_connectivity_queries() {
         let mut f = BatchEulerForest::<TreapSequence>::new(6);
-        f.batch_link(&[(0, 1), (1, 2), (4, 5)]);
-        let answers = f.batch_connected(&[(0, 2), (0, 4), (4, 5), (3, 3)]);
+        assert_eq!(f.batch_link(&[(0, 1), (1, 2), (4, 5)]), 3);
+        let answers: Vec<bool> = [(0, 2), (0, 4), (4, 5), (3, 3)]
+            .iter()
+            .map(|&(u, v)| f.forest_mut().connected(u, v))
+            .collect();
         assert_eq!(answers, vec![true, false, true, true]);
-    }
-
-    #[test]
-    fn acyclic_sub_batch_filters_cycles() {
-        let batch = vec![(0, 1), (1, 2), (2, 0), (3, 4)];
-        let cleaned = acyclic_sub_batch(5, &batch);
-        assert_eq!(cleaned, vec![(0, 1), (1, 2), (3, 4)]);
     }
 }

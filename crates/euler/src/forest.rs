@@ -2,6 +2,7 @@
 //! aggregation monoid.
 
 use dyntree_primitives::hash::FxHashMap;
+use dyntree_primitives::ops::assert_id_space;
 
 use dyntree_seqs::{ActionOf, Agg, CommutativeMonoid, DynSequence, Handle, SumMinMax};
 
@@ -47,7 +48,11 @@ pub struct EulerTourForest<S: DynSequence<M>, M: CommutativeMonoid = SumMinMax> 
 
 impl<S: DynSequence<M>, M: CommutativeMonoid> EulerTourForest<S, M> {
     /// Creates a forest of `n` isolated vertices with default weight.
+    ///
+    /// Panics if `n` exceeds [`MAX_VERTICES`](dyntree_primitives::ops::MAX_VERTICES)
+    /// (the u32 id space), before allocating.
     pub fn new(n: usize) -> Self {
+        assert_id_space(n);
         let mut seq = S::new();
         let vertex_node = (0..n)
             .map(|_| seq.make(M::Weight::default(), true))
@@ -92,7 +97,11 @@ impl<S: DynSequence<M>, M: CommutativeMonoid> EulerTourForest<S, M> {
     /// Appends isolated vertices (with default weight) until the forest has
     /// `n` of them.  Each new vertex becomes a singleton Euler tour; existing
     /// tours are untouched.  A smaller `n` is a no-op.
+    ///
+    /// Panics if `n` exceeds [`MAX_VERTICES`](dyntree_primitives::ops::MAX_VERTICES)
+    /// (the u32 id space), before allocating.
     pub fn ensure_vertices(&mut self, n: usize) {
+        assert_id_space(n);
         while self.vertex_node.len() < n {
             let h = self.seq.make(M::Weight::default(), true);
             self.vertex_node.push(h);

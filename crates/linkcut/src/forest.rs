@@ -1,6 +1,7 @@
 //! The link-cut forest implementation, generic over the aggregation monoid.
 
 use dyntree_primitives::algebra::{Action, ActionOf, Agg, CommutativeMonoid, SumMinMax};
+use dyntree_primitives::ops::assert_id_space;
 
 const NIL: usize = usize::MAX;
 
@@ -58,7 +59,11 @@ pub struct LinkCutForest<M: CommutativeMonoid = SumMinMax> {
 
 impl<M: CommutativeMonoid> LinkCutForest<M> {
     /// Creates a forest of `n` isolated vertices with default weight.
+    ///
+    /// Panics if `n` exceeds [`MAX_VERTICES`](dyntree_primitives::ops::MAX_VERTICES)
+    /// (the u32 id space), before allocating.
     pub fn new(n: usize) -> Self {
+        assert_id_space(n);
         Self {
             nodes: (0..n).map(|_| Node::new(M::Weight::default())).collect(),
             num_edges: 0,
@@ -81,7 +86,11 @@ impl<M: CommutativeMonoid> LinkCutForest<M> {
     /// Appends isolated vertices (with default weight) until the forest has
     /// `n` of them.  Each new vertex is its own one-node splay tree, so no
     /// existing preferred path is disturbed.  A smaller `n` is a no-op.
+    ///
+    /// Panics if `n` exceeds [`MAX_VERTICES`](dyntree_primitives::ops::MAX_VERTICES)
+    /// (the u32 id space), before allocating.
     pub fn ensure_vertices(&mut self, n: usize) {
+        assert_id_space(n);
         while self.nodes.len() < n {
             self.nodes.push(Node::new(M::Weight::default()));
         }

@@ -13,6 +13,7 @@
 use std::collections::{HashSet, VecDeque};
 
 use dyntree_primitives::algebra::{Action, ActionOf, Agg, CommutativeMonoid, SumMinMax};
+use dyntree_primitives::ops::assert_id_space;
 
 /// A vertex identifier.
 pub type Vertex = usize;
@@ -28,7 +29,11 @@ pub struct NaiveForest<M: CommutativeMonoid = SumMinMax> {
 
 impl<M: CommutativeMonoid> NaiveForest<M> {
     /// Creates a forest of `n` isolated vertices with default weight.
+    ///
+    /// Panics if `n` exceeds [`MAX_VERTICES`](dyntree_primitives::ops::MAX_VERTICES)
+    /// (the u32 id space), before allocating.
     pub fn new(n: usize) -> Self {
+        assert_id_space(n);
         Self {
             adj: vec![Vec::new(); n],
             weight: vec![M::Weight::default(); n],
@@ -44,7 +49,11 @@ impl<M: CommutativeMonoid> NaiveForest<M> {
     /// Appends isolated vertices (with default weight, unmarked) until the
     /// forest has `n` of them.  Shrinking is not supported; a smaller `n` is
     /// a no-op.
+    ///
+    /// Panics if `n` exceeds [`MAX_VERTICES`](dyntree_primitives::ops::MAX_VERTICES)
+    /// (the u32 id space), before allocating.
     pub fn ensure_vertices(&mut self, n: usize) {
+        assert_id_space(n);
         if n > self.adj.len() {
             self.adj.resize_with(n, Vec::new);
             self.weight.resize(n, M::Weight::default());

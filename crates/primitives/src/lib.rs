@@ -1,26 +1,20 @@
-//! Parallel building blocks used throughout the UFO-trees reproduction.
+//! Shared building blocks of the UFO-trees reproduction.
 //!
-//! The paper's algorithms (Sections 2 and 5) rely on a small number of
-//! primitives: *semisort* (group records by key), duplicate removal,
-//! *list ranking* over linked chains, maximal matching over chains, and
-//! parallel hash-table style batched set updates.  This crate provides
-//! practical Rust equivalents on top of [`rayon`]'s fork-join runtime, which
-//! matches the binary fork-join model the paper analyses.
+//! Every other crate of the workspace builds on this one: the weight
+//! algebra ([`algebra`]), the typed graph-operation vocabulary and its
+//! shared checks ([`ops`]: vertex id space, batch normalisation), the
+//! parallelism gate ([`ParallelConfig`]), union-find ([`Dsu`]), a
+//! deterministic hasher for integer-keyed maps ([`hash`]) and the
+//! telemetry accumulators ([`telemetry`]).
 //!
-//! The implementations intentionally favour deterministic results (sorting
-//! based grouping rather than hashing) so that differential tests against the
+//! Everything here is deterministic, so differential tests against the
 //! naive oracle are reproducible.
 
 pub mod algebra;
 pub mod dsu;
-pub mod groupby;
 pub mod hash;
-pub mod listrank;
-pub mod matching;
 pub mod ops;
 pub mod par;
-pub mod slab;
-pub mod stats;
 pub mod telemetry;
 
 pub use algebra::{
@@ -28,11 +22,6 @@ pub use algebra::{
     NoAction,
 };
 pub use dsu::Dsu;
-pub use groupby::{dedup_sorted, group_by_key, group_by_key_seq, remove_duplicates};
-pub use listrank::{list_rank, ListNode};
-pub use matching::{match_chain_greedy, match_chains_parallel, ChainMatch};
 pub use ops::{BatchReport, DeleteOutcome, EdgeKind, GraphError, GraphOp, OpOutcome};
-pub use par::{chunk_ranges, worth_parallel, ParallelConfig, CHUNK_GRAIN, DELETE_GRAIN, PAR_GRAIN};
-pub use slab::SharedSlab;
-pub use stats::{vec_bytes, OnlineStats};
+pub use par::{chunk_ranges, ParallelConfig, CHUNK_GRAIN, DELETE_GRAIN, PAR_GRAIN};
 pub use telemetry::{BatchTelemetry, Counter, Phase, Telemetry, TelemetrySnapshot};

@@ -150,6 +150,15 @@ pub enum GraphOp<W = i64> {
 /// `u32`, so the valid ids are `0..u32::MAX`.
 pub const MAX_VERTICES: usize = u32::MAX as usize;
 
+/// Panics unless `n` vertices fit the u32 id storage every structure uses.
+/// Constructors and `ensure_vertices` call it before allocating anything.
+pub fn assert_id_space(n: usize) {
+    assert!(
+        n <= MAX_VERTICES,
+        "vertex count {n} exceeds the u32 id space ({MAX_VERTICES} vertices)"
+    );
+}
+
 /// The vertex count after [`GraphOp::AddVertices`]`(count)` on a
 /// `len`-vertex graph, or the typed rejection when the growth would pass
 /// [`MAX_VERTICES`] (`usize` overflow included).  The one growth check: the
@@ -160,6 +169,21 @@ pub fn grown_len(len: usize, count: usize) -> Result<usize, GraphError> {
         Some(target) if target <= MAX_VERTICES => Ok(target),
         _ => Err(GraphError::VertexOutOfRange { v: usize::MAX, len }),
     }
+}
+
+/// The edge list a forest's `batch_link` / `batch_cut` applies: self loops
+/// dropped, each edge oriented `(min, max)`, then sorted and deduplicated.
+/// Sequential on purpose: a sort of the batch is a small fraction of
+/// applying it one `link`/`cut` at a time (DESIGN.md §4).
+pub fn normalize_batch(edges: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    let mut cleaned: Vec<(usize, usize)> = edges
+        .iter()
+        .filter(|(u, v)| u != v)
+        .map(|&(u, v)| (u.min(v), u.max(v)))
+        .collect();
+    cleaned.sort_unstable();
+    cleaned.dedup();
+    cleaned
 }
 
 /// What actually happened to one [`GraphOp`].
@@ -399,6 +423,15 @@ mod tests {
         assert_eq!(grown_len(1, MAX_VERTICES), reject(1));
         assert_eq!(grown_len(0, 1 << 32), reject(0));
         assert_eq!(grown_len(5, usize::MAX), reject(5));
+    }
+
+    #[test]
+    fn batches_normalise_to_sorted_unique_oriented_edges() {
+        // reversed duplicates collapse, self loops drop, order is canonical
+        let batch = [(3, 1), (0, 2), (1, 3), (2, 2), (2, 0), (4, 1), (1, 3)];
+        assert_eq!(normalize_batch(&batch), vec![(0, 2), (1, 3), (1, 4)]);
+        assert!(normalize_batch(&[(5, 5)]).is_empty());
+        assert!(normalize_batch(&[]).is_empty());
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! size), these thresholds are load-bearing, so they live here as one
 //! documented, overridable [`ParallelConfig`] instead of scattered
 //! constants.  The engine layers thread a config through their batch entry
-//! points; the free function [`worth_parallel`] keeps the historical
-//! call-site API and uses the defaults.
+//! points; it is the workspace's only parallelism gate.
 //!
 //! Changing the grain/fan-out knobs never changes *results* — only which of
 //! two byte-identical code paths (sequential or chunked-parallel) computes
@@ -189,13 +188,6 @@ pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// Returns `true` when a batch of `len` items is worth processing in
-/// parallel under the default grain ([`PAR_GRAIN`]) on the global pool.
-#[inline]
-pub fn worth_parallel(len: usize) -> bool {
-    ParallelConfig::default().worth(len)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,12 +281,5 @@ mod tests {
         let all = ParallelConfig::default().with_rebuild_threshold(100);
         assert!(!all.rebuild_worth(99, 100));
         assert!(all.rebuild_worth(100, 100));
-    }
-
-    #[test]
-    fn worth_parallel_matches_default_config() {
-        for len in [0, 1, PAR_GRAIN - 1, PAR_GRAIN, 10 * PAR_GRAIN] {
-            assert_eq!(worth_parallel(len), ParallelConfig::default().worth(len));
-        }
     }
 }

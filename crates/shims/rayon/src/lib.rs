@@ -15,7 +15,7 @@
 //! * `par_sort*` run a parallel stable merge sort (chunk sort + pairwise
 //!   merge rounds over an index permutation),
 //! * [`current_num_threads`] reports the true pool size, so the workspace's
-//!   `worth_parallel` grain checks route large batches down the parallel
+//!   `ParallelConfig` grain checks route large batches down the parallel
 //!   paths and small ones down the sequential paths.
 //!
 //! # Pool size

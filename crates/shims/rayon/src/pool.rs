@@ -395,7 +395,7 @@ fn configured_threads() -> usize {
 }
 
 /// Number of threads in the global pool (≥ 1).  Grain checks such as the
-/// workspace's `worth_parallel` use this to route small batches down the
+/// workspace's `ParallelConfig` use this to route small batches down the
 /// sequential paths.
 pub fn current_num_threads() -> usize {
     global().threads()

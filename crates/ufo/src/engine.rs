@@ -15,6 +15,7 @@
 
 use dyntree_primitives::algebra::SumMinMax;
 use dyntree_primitives::hash::FxHashMap;
+use dyntree_primitives::ops::assert_id_space;
 
 use crate::summary::{Agg, CommutativeMonoid, Summary};
 use crate::{ClusterId, Vertex, INF_DIST, NIL32};
@@ -438,7 +439,11 @@ pub struct ContractionForest<M: CommutativeMonoid = SumMinMax> {
 
 impl<M: CommutativeMonoid> ContractionForest<M> {
     /// Creates a forest of `n` isolated vertices under the given policy.
+    ///
+    /// Panics if `n` exceeds [`MAX_VERTICES`](dyntree_primitives::ops::MAX_VERTICES)
+    /// (the u32 id space), before allocating.
     pub fn new(n: usize, policy: Policy) -> Self {
+        assert_id_space(n);
         let mut forest = ContractionForest {
             policy,
             weights: vec![M::Weight::default(); n],
@@ -478,7 +483,11 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// child list, children's parent pointers, adjacency mirrors) repointed.
     /// Must be called between updates (the engine holds no pending
     /// reclustering work then); cost is O(added + relocated degrees).
+    ///
+    /// Panics if `n` exceeds [`MAX_VERTICES`](dyntree_primitives::ops::MAX_VERTICES)
+    /// (the u32 id space), before allocating.
     pub fn ensure_vertices(&mut self, n: usize) {
+        assert_id_space(n);
         let old = self.len();
         if n <= old {
             return;

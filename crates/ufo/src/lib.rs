@@ -19,8 +19,8 @@
 //! vertex-weight path aggregates, subtree aggregates (including
 //! non-invertible ones), component diameter and nearest-marked-vertex
 //! queries.  Batch updates are exposed through [`UfoForest::batch_link`] /
-//! [`UfoForest::batch_cut`] (see `batch.rs` for the parallelisation story and
-//! `DESIGN.md` §4.4 for the deviations from Algorithm 4).
+//! [`UfoForest::batch_cut`], which run sequentially (see `DESIGN.md` §4 for
+//! the deviations from Algorithm 4).
 
 pub mod batch;
 pub mod engine;

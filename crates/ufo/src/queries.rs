@@ -2,9 +2,9 @@
 //!
 //! Every query walks the `O(min(log n, D))`-height hierarchy from the leaf
 //! clusters of its arguments towards the root, combining the per-cluster
-//! summaries.  No query mutates the structure, so any number of queries can
-//! run concurrently (e.g. from a rayon parallel iterator) while no update is
-//! in flight.
+//! summaries.  No query mutates the structure and the forest is `Sync`, so
+//! any number of queries can run concurrently from shared references while
+//! no update is in flight.
 //!
 //! Internally the walks operate on the narrowed `u32` ids used by the flat
 //! cluster storage (DESIGN.md §12); the public signatures keep `usize`.

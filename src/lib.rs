@@ -7,8 +7,9 @@
 //! * [`UfoForest`] — the paper's contribution: a dynamic-trees structure based
 //!   on tree contraction with unbounded fan-out merges.  Supports link/cut,
 //!   connectivity, path aggregates, subtree aggregates, diameter and
-//!   nearest-marked-vertex queries, plus batch updates and parallel batch
-//!   queries.
+//!   nearest-marked-vertex queries, plus sequential batch link/cut
+//!   (DESIGN.md §4).  Queries take `&self` and the forest is `Sync`, so
+//!   they can run concurrently between updates.
 //! * [`TopologyForest`] — topology trees (pair merges + dynamic
 //!   ternarization), sharing the same contraction engine; also the
 //!   workspace's RC-tree stand-in (DESIGN.md §5.1).

@@ -6,13 +6,14 @@
 //!   differential and proptest oracles) under `DYNTREE_THREADS=1`, `2` and
 //!   `8`, so any thread-count-dependent divergence fails an entire CI leg;
 //! * this file varies the *effective* fan-out in-process via
-//!   [`ParallelConfig`] with grains forced low, so the chunked pre-pass and
-//!   the parallel sorts are exercised (and compared against the sequential
-//!   reference) on every machine, even when the global pool has one thread.
+//!   [`ParallelConfig`] with grains forced low, so the chunked pre-passes
+//!   and the per-component search fan-out are exercised (and compared
+//!   against the sequential reference) on every machine, even when the
+//!   global pool has one thread.
 
 use dyntree_connectivity::{DynConnectivity, SpanningBackend};
 use dyntree_primitives::algebra::SumMinMax;
-use dyntree_primitives::{group_by_key, remove_duplicates, GraphOp, ParallelConfig};
+use dyntree_primitives::{GraphOp, ParallelConfig};
 use dyntree_workloads::{
     churn_stream, road_grid_graph, sliding_window_stream, temporal_graph, FuzzTraceGen,
 };
@@ -220,27 +221,6 @@ fn mixed_churn_fuzz_traces_are_identical_across_fanouts() {
     }
 }
 
-#[test]
-fn grouping_primitives_are_identical_across_pool_widths() {
-    // These run on the *global* pool, so this assertion is only interesting
-    // under DYNTREE_THREADS>1 (the CI matrix) — but it must also hold, and
-    // does trivially, on a 1-thread pool.
-    let records: Vec<(u32, u32)> = (0..40_000u32).map(|i| ((i * 31) % 257, i)).collect();
-    let (par, par_off) = group_by_key(records.clone());
-    let mut seq = records.clone();
-    seq.sort_by_key(|&(k, _)| k);
-    assert_eq!(
-        par, seq,
-        "group_by_key must equal the stable sequential sort"
-    );
-    assert_eq!(par_off.len(), 258);
-
-    let keys: Vec<u64> = (0..30_000u64).map(|i| i % 613).collect();
-    let mut expected: Vec<u64> = (0..613).collect();
-    expected.sort_unstable();
-    assert_eq!(remove_duplicates(keys), expected);
-}
-
 /// Telemetry counter determinism (`--features telemetry`): the counter part
 /// of a snapshot is data, not timing, and must obey the same determinism
 /// contract as the reports themselves.
@@ -368,7 +348,7 @@ mod telemetry_counters {
 }
 
 #[test]
-fn worth_parallel_still_gates_small_batches() {
+fn parallel_config_still_gates_small_batches() {
     // the engine must take the sequential pre-pass for tiny batches no
     // matter how wide the pool is — outcome equality is checked above, this
     // pins the *config* contract satellite
