@@ -238,11 +238,13 @@ impl<M: CommutativeMonoid> SpanningBackend for UfoForest<M> {
     fn ensure_vertices(&mut self, n: usize) {
         UfoForest::ensure_vertices(self, n)
     }
+    // Updates only queue summary work: the engine reads no summary on its
+    // update path, so the three summary reads below settle first instead.
     fn link(&mut self, u: usize, v: usize) -> bool {
-        UfoForest::link(self, u, v)
+        self.engine_mut().link(u, v)
     }
     fn cut(&mut self, u: usize, v: usize) -> bool {
-        UfoForest::cut(self, u, v)
+        self.engine_mut().cut(u, v)
     }
     fn connected(&mut self, u: usize, v: usize) -> bool {
         UfoForest::connected(self, u, v)
@@ -258,7 +260,7 @@ impl<M: CommutativeMonoid> SpanningBackend for UfoForest<M> {
         })
     }
     fn set_weight(&mut self, v: usize, w: WeightOf<M>) -> bool {
-        UfoForest::set_weight(self, v, w);
+        self.engine_mut().set_weight(v, w);
         true
     }
     fn vertex_weight(&mut self, v: usize) -> Option<WeightOf<M>> {
@@ -267,12 +269,15 @@ impl<M: CommutativeMonoid> SpanningBackend for UfoForest<M> {
     // The bulk applies stay at their declining defaults: cluster aggregates
     // in the contraction engine have no lazy-tag channel (DESIGN.md §13).
     fn component_size(&mut self, v: usize) -> Option<u64> {
+        self.engine_mut().settle();
         Some(UfoForest::component_size(self, v))
     }
     fn component_agg(&mut self, v: usize) -> Option<Agg<M>> {
+        self.engine_mut().settle();
         Some(UfoForest::component_aggregate(self, v))
     }
     fn path_agg(&mut self, u: usize, v: usize) -> Option<Agg<M>> {
+        self.engine_mut().settle();
         UfoForest::path_aggregate(self, u, v)
     }
     fn export_components(&self, out: &mut Vec<usize>) -> bool {

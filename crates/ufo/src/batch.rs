@@ -5,8 +5,10 @@
 //! implementation keeps the *batch interface* only, and the batch path is
 //! sequential: the batch is normalised (canonical orientation, self-loop
 //! filtering, a sort and a dedup — [`normalize_batch`]) and every surviving
-//! edge goes through the sequential `link`/`cut`, each with its own summary
-//! refresh; those calls skip cycle-closing, duplicate and missing edges.
+//! edge goes through the engine's sequential `link`/`cut`, which skip
+//! cycle-closing, duplicate and missing edges.  Those calls only queue
+//! summary work; the batch settles once at the end, so a cluster that
+//! several updates of the batch touch is recomputed once.
 //! `DESIGN.md` §4 records this deviation: the benchmark comparisons in
 //! Figures 8, 9 and 16 run every batch structure through the same interface,
 //! so the relative comparison is preserved, but the parallel speedup of the
@@ -25,11 +27,13 @@ impl<M: CommutativeMonoid> UfoForest<M> {
     pub fn batch_link(&mut self, edges: &[(Vertex, Vertex)]) -> usize {
         let cleaned = normalize_batch(edges);
         let mut applied = 0;
+        let engine = self.engine_mut();
         for (u, v) in cleaned {
-            if self.link(u, v) {
+            if engine.link(u, v) {
                 applied += 1;
             }
         }
+        engine.settle();
         applied
     }
 
@@ -38,11 +42,13 @@ impl<M: CommutativeMonoid> UfoForest<M> {
     pub fn batch_cut(&mut self, edges: &[(Vertex, Vertex)]) -> usize {
         let cleaned = normalize_batch(edges);
         let mut applied = 0;
+        let engine = self.engine_mut();
         for (u, v) in cleaned {
-            if self.cut(u, v) {
+            if engine.cut(u, v) {
                 applied += 1;
             }
         }
+        engine.settle();
         applied
     }
 }

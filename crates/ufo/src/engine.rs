@@ -9,9 +9,14 @@
 //! the updated endpoints (skipping high-degree / high-fanout clusters under
 //! the UFO policy), apply the edge change at every level where both endpoints'
 //! surviving ancestors are distinct, then recluster the resulting root
-//! clusters bottom-up.  Cluster summaries (boundaries, path/subtree
-//! aggregates, distances) are refreshed in one deferred bottom-up pass at the
-//! end of each update.
+//! clusters bottom-up.  An update only queues the clusters whose summaries
+//! (boundaries, path/subtree aggregates, distances) it invalidated;
+//! [`ContractionForest::settle`] refreshes everything queued in one
+//! bottom-up pass.  Callers settle at their own boundary — once per batch,
+//! or before the first summary read — and every summary query asserts that
+//! the forest is settled.  Structural queries (`connected`, `has_edge`,
+//! `top_cluster`, `height`) never read a summary and stay valid while work
+//! is queued.
 
 use dyntree_primitives::algebra::SumMinMax;
 use dyntree_primitives::hash::FxHashMap;
@@ -85,7 +90,7 @@ pub struct Cluster<M: CommutativeMonoid = SumMinMax> {
     pub alive: bool,
     /// Whether the id is queued for a summary refresh (on the dirty list or
     /// in a level bucket of the refresh pass), so it is queued at most
-    /// once.  Clear between updates.
+    /// once.  Clear once the forest is settled.
     pub queued: bool,
     /// Index of this cluster in `parent.children` (meaningless for roots).
     /// A cluster with fan-out ≥ 3 keeps its hub at slot 0.
@@ -315,8 +320,10 @@ pub(crate) struct FoldTree<M: CommutativeMonoid> {
     hub: u32,
     hub_bounds: ([u32; 2], u8),
     nodes: Vec<Fold<M>>,
-    /// Blocks whose children changed since the last refresh.
-    stale: Vec<u32>,
+    /// One bit per block: whether its children changed since the last
+    /// refresh.  Its size is fixed by `cap`, however many updates touch the
+    /// tree before the next refresh.
+    stale: Vec<u64>,
 }
 
 impl<M: CommutativeMonoid> FoldTree<M> {
@@ -339,7 +346,15 @@ impl<M: CommutativeMonoid> FoldTree<M> {
             hub,
             hub_bounds: (hs.boundary, hs.nbound),
             nodes,
-            stale: Vec::new(),
+            stale: vec![0; cap.div_ceil(64)],
+        }
+    }
+
+    /// Marks block `k` stale.  A block at or past `cap` has no leaf: the
+    /// tree no longer fits and is rebuilt on its next refresh.
+    fn mark_stale(&mut self, k: usize) {
+        if k < self.cap() {
+            self.stale[k / 64] |= 1 << (k % 64);
         }
     }
 
@@ -355,35 +370,32 @@ impl<M: CommutativeMonoid> FoldTree<M> {
             && (self.cap() == 1 || blocks > self.cap() / 4)
     }
 
-    /// Re-folds the stale blocks and the tree nodes above them.
+    /// Re-folds the stale blocks, in block order, and the tree nodes above
+    /// them.
     fn refresh(&mut self, clusters: &ClusterSlab<M>, children: &[u32]) {
         let cap = self.cap();
-        let mut stale = std::mem::take(&mut self.stale);
-        stale.sort_unstable();
-        stale.dedup();
-        for &k in &stale {
-            let k = k as usize;
-            if k >= cap {
-                continue; // a block emptied again before this refresh
-            }
-            let lo = (1 + k * B).min(children.len());
-            let hi = (1 + (k + 1) * B).min(children.len());
-            self.nodes[cap + k] = Fold::of(clusters, self.hub, &children[lo..hi]);
-            let mut i = (cap + k) / 2;
-            while i >= 1 {
-                #[cfg(test)]
-                tests::FOLD_READS.with(|n| n.set((n.get().0, n.get().1 + 1)));
-                self.nodes[i] = self.nodes[2 * i].merge(&self.nodes[2 * i + 1]);
-                i /= 2;
+        for w in 0..self.stale.len() {
+            let mut bits = std::mem::take(&mut self.stale[w]);
+            while bits != 0 {
+                let k = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let lo = (1 + k * B).min(children.len());
+                let hi = (1 + (k + 1) * B).min(children.len());
+                self.nodes[cap + k] = Fold::of(clusters, self.hub, &children[lo..hi]);
+                let mut i = (cap + k) / 2;
+                while i >= 1 {
+                    #[cfg(test)]
+                    tests::FOLD_READS.with(|n| n.set((n.get().0, n.get().1 + 1)));
+                    self.nodes[i] = self.nodes[2 * i].merge(&self.nodes[2 * i + 1]);
+                    i /= 2;
+                }
             }
         }
-        stale.clear();
-        self.stale = stale;
     }
 
     fn heap_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<Fold<M>>()
-            + self.stale.capacity() * std::mem::size_of::<u32>()
+            + self.stale.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -419,9 +431,9 @@ pub struct ContractionForest<M: CommutativeMonoid = SumMinMax> {
     /// Root clusters awaiting reclustering, indexed by level.
     pending: Vec<Vec<u32>>,
     /// Clusters whose summaries must be recomputed, each id at most once
-    /// (see [`Cluster::queued`]).
+    /// (see [`Cluster::queued`]); empty exactly when the forest is settled.
     dirty: Vec<u32>,
-    /// Per-level buckets reused by [`flush_dirty`](Self::flush_dirty).
+    /// Per-level buckets reused by [`settle`](Self::settle).
     flush_levels: Vec<Vec<u32>>,
     /// Scratch buffers reused across updates, so a steady-state update
     /// allocates nothing: the level being flushed, the level being
@@ -481,8 +493,10 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// currently sitting on a soon-to-be-leaf id is relocated to a fresh slot
     /// at the end of the arena first, with every reference to it (parent's
     /// child list, children's parent pointers, adjacency mirrors) repointed.
-    /// Must be called between updates (the engine holds no pending
-    /// reclustering work then); cost is O(added + relocated degrees).
+    /// Queued summary work is settled first, because a dirty-list entry
+    /// names a cluster by id and would not follow the move.  The relocated
+    /// clusters are left queued.  Cost is O(added + relocated degrees) plus
+    /// the settle.
     ///
     /// Panics if `n` exceeds [`MAX_VERTICES`](dyntree_primitives::ops::MAX_VERTICES)
     /// (the u32 id space), before allocating.
@@ -492,10 +506,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         if n <= old {
             return;
         }
-        debug_assert!(
-            self.pending.iter().all(Vec::is_empty) && self.dirty.is_empty(),
-            "ensure_vertices during an update"
-        );
+        self.settle();
         // ids below `n` stop being available for internal clusters
         self.free.retain(|&id| id as usize >= n);
         self.weights.resize(n, M::Weight::default());
@@ -513,9 +524,6 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
                 self.clusters.push(Cluster::new_leaf(summary));
             }
         }
-        // relocated clusters re-enter their parents' fold blocks under the
-        // new id
-        self.flush_dirty();
     }
 
     /// Moves the internal cluster at id `from` to a fresh id at the end of
@@ -551,6 +559,8 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             }
         }
         self.clusters.push(cluster);
+        // the next settle re-enters it into its parent's fold block under
+        // the new id
         self.mark_dirty(to);
     }
 
@@ -571,15 +581,16 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
 
     /// Marks vertex `v` as phantom: its weight is ignored by every aggregate.
     /// Used by the ternarization wrapper for the auxiliary path vertices.
+    /// Queues the summary refresh (see [`settle`](Self::settle)).
     pub fn set_phantom(&mut self, v: Vertex, phantom: bool) {
         self.phantom[v] = phantom;
-        self.refresh_vertex(v);
+        self.mark_dirty(narrow(v));
     }
 
-    /// Sets the weight of vertex `v`.
+    /// Sets the weight of vertex `v`, queueing the summary refresh.
     pub fn set_weight(&mut self, v: Vertex, w: M::Weight) {
         self.weights[v] = w;
-        self.refresh_vertex(v);
+        self.mark_dirty(narrow(v));
     }
 
     /// Returns the weight of vertex `v`.
@@ -587,10 +598,11 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         self.weights[v]
     }
 
-    /// Marks or unmarks vertex `v` for nearest-marked-vertex queries.
+    /// Marks or unmarks vertex `v` for nearest-marked-vertex queries,
+    /// queueing the summary refresh.
     pub fn set_marked(&mut self, v: Vertex, m: bool) {
         self.marked[v] = m;
-        self.refresh_vertex(v);
+        self.mark_dirty(narrow(v));
     }
 
     /// Whether vertex `v` is marked.
@@ -640,8 +652,8 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         h
     }
 
-    /// Inserts edge `(u, v)`.  Returns `false` for self loops, duplicate edges
-    /// and edges that would close a cycle.
+    /// Inserts edge `(u, v)`, queueing the summary refresh.  Returns `false`
+    /// for self loops, duplicate edges and edges that would close a cycle.
     pub fn link(&mut self, u: Vertex, v: Vertex) -> bool {
         if u == v || u >= self.len() || v >= self.len() || self.has_edge(u, v) {
             return false;
@@ -654,7 +666,8 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         true
     }
 
-    /// Removes edge `(u, v)`.  Returns `false` if the edge is not present.
+    /// Removes edge `(u, v)`, queueing the summary refresh.  Returns `false`
+    /// if the edge is not present.
     pub fn cut(&mut self, u: Vertex, v: Vertex) -> bool {
         if !self.has_edge(u, v) {
             return false;
@@ -664,7 +677,11 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         true
     }
 
-    /// Exact heap bytes owned by the structure.
+    /// Heap bytes owned by the hierarchy: the cluster slab with every
+    /// cluster's adjacency and child buffers, the vertex arrays, the
+    /// freelist and the fold-tree side table.  The work queues (`dirty`,
+    /// `pending`) and the settle and recluster scratch buffers are not
+    /// counted.
     pub fn memory_bytes(&self) -> usize {
         let mut bytes = self.clusters.capacity() * std::mem::size_of::<Cluster<M>>()
             + self.weights.capacity() * std::mem::size_of::<M::Weight>()
@@ -702,7 +719,6 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         self.mark_dirty(u);
         self.mark_dirty(v);
         self.recluster();
-        self.flush_dirty();
     }
 
     /// Algorithm 1: walk up from `c0`'s parent, deleting every ancestor that
@@ -811,7 +827,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             return;
         }
         if let Some(tree) = self.folds.get_mut(&parent) {
-            tree.stale.push((slot - 1) / B as u32);
+            tree.mark_stale((slot - 1) as usize / B);
         }
     }
 
@@ -1235,22 +1251,29 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     // Summary maintenance
     // ------------------------------------------------------------------
 
-    fn refresh_vertex(&mut self, v: Vertex) {
-        self.mark_dirty(narrow(v));
-        self.flush_dirty();
+    /// Panics unless the forest is settled (no summary work is queued).
+    /// Every summary-reading query calls this first, in every build: an
+    /// unsettled forest would answer from stale summaries.
+    #[inline]
+    pub(crate) fn assert_settled(&self) {
+        assert!(
+            self.dirty.is_empty(),
+            "summary query on an unsettled ContractionForest: call settle() after updating"
+        );
     }
 
-    /// Recomputes the summaries of every dirty cluster and of all their
-    /// ancestors, bottom-up.  Each recomputed child marks its fold block in
-    /// the parent stale, so a parent with more than `B` children re-folds
-    /// only those blocks and the fold-tree path above them.
+    /// Recomputes the summaries of every queued cluster and of all their
+    /// ancestors, bottom-up, in one pass however many updates queued them.
+    /// Each recomputed child marks its fold block in the parent stale, so a
+    /// parent with more than `B` children re-folds only those blocks and
+    /// the fold-tree path above them.  A no-op on a settled forest.
     ///
-    /// A cluster's `queued` bit stays set from [`mark_dirty`](Self::mark_dirty)
-    /// until its summary is recomputed, and parents are queued through the
+    /// A cluster's `queued` bit stays set from `mark_dirty` until its
+    /// summary is recomputed, and parents are queued through the
     /// same bit, so every level bucket holds each id once.  A summary
     /// depends only on the children's summaries, which are final before
     /// their level is processed, so the order inside a level is free.
-    pub(crate) fn flush_dirty(&mut self) {
+    pub fn settle(&mut self) {
         if self.dirty.is_empty() {
             return;
         }
@@ -1276,9 +1299,11 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         while l < levels.len() {
             std::mem::swap(&mut work, &mut levels[l]);
             for &c in &work {
-                debug_assert!(self.clusters[c].alive, "flush reached a dead cluster {c}");
+                debug_assert!(self.clusters[c].alive, "settle reached a dead cluster {c}");
                 let pendants = self.pendant_fold(c);
                 let s = self.compute_summary(c, &pendants);
+                #[cfg(test)]
+                tests::SUMMARIES.with(|n| n.set(n.get() + 1));
                 let cl = &mut self.clusters[c];
                 cl.summary = s;
                 cl.queued = false;
@@ -1605,16 +1630,17 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
 
     /// Exhaustively checks the structural invariants of the hierarchy against
     /// the ground-truth forest described by the leaf adjacency.  Intended for
-    /// tests on small inputs; cost is O(n · height).
+    /// tests on small inputs; cost is O(n · height).  An unsettled forest
+    /// fails the check: call [`settle`](Self::settle) first.
     pub fn check_invariants(&self) -> Result<(), String> {
         let n = self.len();
-        // 0. between updates nothing is queued, and every freed slot is dead
+        // 0. once settled nothing is queued, and every freed slot is dead
         //    and holds cleared buffers for its next tenant
         if !self.dirty.is_empty() || self.pending.iter().any(|b| !b.is_empty()) {
-            return Err("dirty or pending work left between updates".into());
+            return Err("dirty or pending work left: the forest is not settled".into());
         }
         if let Some(id) = self.clusters.iter().position(|c| c.queued) {
-            return Err(format!("cluster {} is still queued between updates", id));
+            return Err(format!("cluster {} is still queued after settling", id));
         }
         for &id in &self.free {
             let c = &self.clusters[id];
@@ -1704,7 +1730,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             if !c.alive || c.children.len() <= B {
                 return Err(format!("cluster {} has a fold tree it must not keep", id));
             }
-            if !tree.fits(&self.clusters, &c.children) || !tree.stale.is_empty() {
+            if !tree.fits(&self.clusters, &c.children) || tree.stale.iter().any(|&w| w != 0) {
                 return Err(format!("cluster {} has an out-of-date fold tree", id));
             }
             let cap = tree.cap();
@@ -1863,6 +1889,10 @@ mod tests {
         /// re-merged by [`FoldTree::refresh`] on this thread.
         pub(super) static FOLD_READS: std::cell::Cell<(usize, usize)> =
             const { std::cell::Cell::new((0, 0)) };
+        /// Cluster summaries recomputed by [`ContractionForest::settle`]
+        /// on this thread.
+        pub(super) static SUMMARIES: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
     }
 
     /// The narrowed adjacency entry must stay at 12 bytes — this is the
@@ -1900,12 +1930,14 @@ mod tests {
         for v in 1..=LEAVES {
             assert!(f.link(0, v));
         }
+        f.settle();
         let star = f.top_cluster(0) as u32;
         assert_eq!(f.clusters[star].fanout(), LEAVES + 1);
         let depth = (LEAVES / B).ilog2() as usize;
         FOLD_READS.with(|n| n.set((0, 0)));
         assert!(f.cut(0, 777));
         assert!(f.link(777, 0));
+        f.settle();
         let (pendants, nodes) = FOLD_READS.with(|n| n.get());
         assert!(
             pendants <= 3 * B,
@@ -1916,6 +1948,85 @@ mod tests {
             "one cut+link re-merged {nodes} tree nodes"
         );
         f.check_invariants().unwrap();
+    }
+
+    /// A small seeded LCG, so the tests below need no RNG dependency.
+    fn lcg(state: &mut u64) -> usize {
+        *state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (*state >> 33) as usize
+    }
+
+    /// Updates only queue work, and the queues stay bounded however many
+    /// updates run unsettled: 20 000 cut+link pairs at a 4 096-leaf star
+    /// leave each fold tree's stale set at one bit per block and the dirty
+    /// list within the live clusters.  One settle then restores every
+    /// invariant, and a summary query on an unsettled forest panics.
+    #[test]
+    fn unsettled_updates_keep_queues_bounded() {
+        const LEAVES: usize = 4096;
+        let mut f: ContractionForest = ContractionForest::new(LEAVES + 1, Policy::Ufo);
+        for v in 1..=LEAVES {
+            assert!(f.link(0, v));
+        }
+        f.settle();
+        let mut rng = 0x5eed;
+        for _ in 0..20_000 {
+            let v = 1 + lcg(&mut rng) % LEAVES;
+            assert!(f.cut(0, v));
+            assert!(f.link(v, 0));
+        }
+        assert!(!f.folds.is_empty(), "the star keeps a fold tree");
+        for tree in f.folds.values() {
+            assert_eq!(tree.stale.len(), tree.cap().div_ceil(64));
+        }
+        assert!(!f.dirty.is_empty());
+        assert!(f.dirty.len() <= f.live_clusters());
+        f.settle();
+        f.check_invariants().unwrap();
+        assert_eq!(f.component_size(0), LEAVES as u64 + 1);
+
+        assert!(f.cut(0, 1));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.component_size(0)))
+            .unwrap_err();
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(msg.contains("unsettled"), "{msg}");
+    }
+
+    /// A batch settles once, so a cluster on the ancestor chains of several
+    /// cut edges is recomputed once rather than once per cut: 256 cuts on a
+    /// seeded 8 192-vertex random recursive tree recompute strictly fewer
+    /// summaries as one `batch_cut` than settled one at a time.
+    #[test]
+    fn batch_cut_recomputes_fewer_summaries_than_single_cuts() {
+        const N: usize = 8192;
+        let mut rng = 0xba7c;
+        let edges: Vec<(usize, usize)> = (1..N).map(|v| (lcg(&mut rng) % v, v)).collect();
+        let mut batched: crate::UfoForest = crate::UfoForest::from_edges(N, &edges);
+        let mut single = batched.clone();
+        let mut cuts = edges.clone();
+        for i in 0..256 {
+            let j = i + lcg(&mut rng) % (cuts.len() - i);
+            cuts.swap(i, j);
+        }
+        cuts.truncate(256);
+
+        SUMMARIES.with(|n| n.set(0));
+        assert_eq!(batched.batch_cut(&cuts), 256);
+        let batch_count = SUMMARIES.with(|n| n.get());
+        SUMMARIES.with(|n| n.set(0));
+        for &(u, v) in &cuts {
+            assert!(single.cut(u, v));
+        }
+        let single_count = SUMMARIES.with(|n| n.get());
+        println!("summaries recomputed: batch_cut {batch_count}, single cuts {single_count}");
+        assert!(
+            batch_count < single_count,
+            "batch {batch_count} vs single {single_count}"
+        );
+        batched.engine().check_invariants().unwrap();
+        single.engine().check_invariants().unwrap();
     }
 
     /// Repeatedly linking and cutting the same edges must recycle dead
@@ -1931,6 +2042,7 @@ mod tests {
         for _ in 0..50 {
             assert!(f.cut(3, 4));
             assert!(f.link(3, 4));
+            f.settle();
             f.check_invariants().unwrap();
         }
         // The slab may grow a little past the initial build (churn can retire
@@ -1960,6 +2072,7 @@ mod tests {
         for v in (1..15).step_by(3) {
             f.cut(v, v + 1);
         }
+        f.settle();
         f.check_invariants().unwrap();
         for &id in f.free.iter() {
             assert!(!f.clusters[id].alive, "freelist slot {id} is alive");

@@ -12,7 +12,11 @@ use crate::Vertex;
 /// monoid (default: `i64` sum/min/max).
 ///
 /// Thin façade over [`ContractionForest`] with the UFO merge policy; see the
-/// crate documentation for the supported operations.
+/// crate documentation for the supported operations.  Every mutator settles
+/// the engine before it returns (a batch settles once), so the summary
+/// queries are always available here.  Callers that want to defer the
+/// refresh across several updates drive [`engine_mut`](Self::engine_mut)
+/// and call [`ContractionForest::settle`] before reading a summary.
 #[derive(Clone, Debug)]
 pub struct UfoForest<M: CommutativeMonoid = SumMinMax> {
     inner: ContractionForest<M>,
@@ -31,8 +35,9 @@ impl<M: CommutativeMonoid> UfoForest<M> {
     pub fn from_edges(n: usize, edges: &[(Vertex, Vertex)]) -> Self {
         let mut f = Self::new(n);
         for &(u, v) in edges {
-            f.link(u, v);
+            f.inner.link(u, v);
         }
+        f.inner.settle();
         f
     }
 
@@ -55,6 +60,7 @@ impl<M: CommutativeMonoid> UfoForest<M> {
     /// Appends isolated vertices until the forest has `n` of them.
     pub fn ensure_vertices(&mut self, n: usize) {
         self.inner.ensure_vertices(n);
+        self.inner.settle();
     }
 
     /// Whether the forest has no vertices.
@@ -70,12 +76,16 @@ impl<M: CommutativeMonoid> UfoForest<M> {
     /// Inserts edge `(u, v)`; returns `false` for self loops, duplicates and
     /// cycle-creating edges.
     pub fn link(&mut self, u: Vertex, v: Vertex) -> bool {
-        self.inner.link(u, v)
+        let linked = self.inner.link(u, v);
+        self.inner.settle();
+        linked
     }
 
     /// Removes edge `(u, v)`; returns `false` if not present.
     pub fn cut(&mut self, u: Vertex, v: Vertex) -> bool {
-        self.inner.cut(u, v)
+        let cut = self.inner.cut(u, v);
+        self.inner.settle();
+        cut
     }
 
     /// Whether `u` and `v` are in the same tree.
@@ -91,6 +101,7 @@ impl<M: CommutativeMonoid> UfoForest<M> {
     /// Sets the weight of vertex `v`.
     pub fn set_weight(&mut self, v: Vertex, w: M::Weight) {
         self.inner.set_weight(v, w);
+        self.inner.settle();
     }
 
     /// Returns the weight of vertex `v`.
@@ -101,6 +112,7 @@ impl<M: CommutativeMonoid> UfoForest<M> {
     /// Marks or unmarks `v` for nearest-marked-vertex queries.
     pub fn set_marked(&mut self, v: Vertex, m: bool) {
         self.inner.set_marked(v, m);
+        self.inner.settle();
     }
 
     /// Monoid aggregate over the vertex weights on the `u`–`v` path.
@@ -205,6 +217,7 @@ impl<M: CommutativeMonoid> TopologyForest<M> {
         for v in n..cap {
             inner.set_phantom(v, true);
         }
+        inner.settle();
         Self {
             ternarizer: Ternarizer::new(n),
             inner,
@@ -262,6 +275,7 @@ impl<M: CommutativeMonoid> TopologyForest<M> {
         true
     }
 
+    /// Applies one original update's underlying ops, then settles once.
     fn apply(&mut self, ops: &[UnderlyingOp]) {
         for op in ops {
             match *op {
@@ -275,6 +289,7 @@ impl<M: CommutativeMonoid> TopologyForest<M> {
                 }
             }
         }
+        self.inner.settle();
     }
 
     /// Whether `u` and `v` are connected.
@@ -293,6 +308,7 @@ impl<M: CommutativeMonoid> TopologyForest<M> {
     /// Sets the weight of original vertex `v` (stored on its primary slot).
     pub fn set_weight(&mut self, v: Vertex, w: M::Weight) {
         self.inner.set_weight(self.ternarizer.representative(v), w);
+        self.inner.settle();
     }
 
     /// Returns the weight of vertex `v`.

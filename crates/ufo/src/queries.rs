@@ -4,7 +4,9 @@
 //! clusters of its arguments towards the root, combining the per-cluster
 //! summaries.  No query mutates the structure and the forest is `Sync`, so
 //! any number of queries can run concurrently from shared references while
-//! no update is in flight.
+//! no update is in flight.  Each public query here reads summaries, so it
+//! panics on an unsettled forest
+//! ([`ContractionForest::settle`]) instead of answering from stale ones.
 //!
 //! Internally the walks operate on the narrowed `u32` ids used by the flat
 //! cluster storage (DESIGN.md §12); the public signatures keep `usize`.
@@ -24,6 +26,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// Aggregate over the vertex weights on the `u`–`v` path (both endpoints
     /// inclusive), or `None` if `u` and `v` are not connected.
     pub fn path_aggregate(&self, u: Vertex, v: Vertex) -> Option<Agg<M>> {
+        self.assert_settled();
         if u >= self.len() || v >= self.len() {
             return None;
         }
@@ -87,6 +90,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
 
     /// Aggregate over every vertex of the component containing `v`.
     pub fn component_aggregate(&self, v: Vertex) -> Agg<M> {
+        self.assert_settled();
         self.clusters[self.top_cluster(v)].summary.sub
     }
 
@@ -97,6 +101,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
 
     /// Diameter, in edges, of the component containing `v`.
     pub fn component_diameter(&self, v: Vertex) -> u64 {
+        self.assert_settled();
         self.clusters[self.top_cluster(v)].summary.diam
     }
 
@@ -104,6 +109,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// `parent` (i.e. the component of `v` after removing edge `(v, parent)`),
     /// or `None` if `(v, parent)` is not an edge.
     pub fn subtree_aggregate(&self, v: Vertex, parent: Vertex) -> Option<Agg<M>> {
+        self.assert_settled();
         if !self.has_edge(v, parent) {
             return None;
         }
@@ -199,6 +205,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// Distance (in edges) from `v` to the nearest marked vertex in its
     /// component, or `None` if no marked vertex is reachable.
     pub fn nearest_marked_distance(&self, v: Vertex) -> Option<u64> {
+        self.assert_settled();
         let mut best = if self.is_marked(v) { 0 } else { INF_DIST };
         // state: distance from v to each boundary vertex of the current cluster
         let mut state: Vec<(u32, u64)> = vec![(narrow(v), 0)];
