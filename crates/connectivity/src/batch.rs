@@ -798,7 +798,7 @@ impl<B: SpanningBackend> DynConnectivity<B> {
         };
         for (x, touched) in rebuilt.into_iter().flatten() {
             for (level, bucket) in touched {
-                self.adj.nontree_set_bucket(x, level, bucket);
+                self.adj.nontree_set_bucket(x, level, &bucket);
             }
         }
         drain.clear();

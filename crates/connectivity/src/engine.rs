@@ -737,7 +737,7 @@ impl<B: SpanningBackend> DynConnectivity<B> {
         // bucketed tree adjacency must mirror the neighbour→level map exactly
         for v in 0..self.n {
             let map_deg = self.adj.tree_neighbors(v).count();
-            let bucket_deg = self.adj.tree_neighbors_from(v, 0).count();
+            let bucket_deg = self.adj.tree_neighbors_from(v, 0).len();
             if map_deg != bucket_deg {
                 return Err(format!(
                     "vertex {v}: tree map degree {map_deg} != bucket degree {bucket_deg}"

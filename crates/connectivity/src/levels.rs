@@ -159,15 +159,14 @@ impl VertexAdj {
         self.tree.iter().map(|&(w, l)| (w as usize, l as usize))
     }
 
-    /// Tree neighbours with edge level **at least** `level` — one contiguous
-    /// tail slice of the `(level, neighbour)`-sorted mirror, i.e. ascending
-    /// level, then ascending neighbour id within a level (a deterministic
-    /// order: the lock-step BFS consumes these entries one at a time, and
-    /// its consumption order picks the replacement edge).
-    pub fn tree_neighbors_from(&self, level: usize) -> impl Iterator<Item = usize> + '_ {
-        self.tree_by_level[level_start(&self.tree_by_level, narrow(level))..]
-            .iter()
-            .map(|&(_, w)| w as usize)
+    /// Tree edges with level **at least** `level`, as the borrowed tail
+    /// slice of the `(level, neighbour)`-sorted mirror: ascending level,
+    /// then ascending neighbour id within a level (a deterministic order:
+    /// the lock-step BFS consumes these entries one at a time, and its
+    /// consumption order picks the replacement edge).  A slice, not an
+    /// iterator, so the search can hold a cursor into it without boxing.
+    pub fn tree_neighbors_from(&self, level: usize) -> &[(u32, u32)] {
+        &self.tree_by_level[level_start(&self.tree_by_level, narrow(level))..]
     }
 
     /// Appends the tree neighbours at exactly `level` to `out` (the arena
@@ -208,25 +207,25 @@ impl VertexAdj {
         }
     }
 
-    /// Removes and returns the level-`level` non-tree bucket wholesale, in
-    /// ascending neighbour order.
-    pub fn nontree_take_bucket_one(&mut self, level: usize) -> Vec<usize> {
+    /// Removes the level-`level` non-tree bucket wholesale, appending it to
+    /// `out` in ascending neighbour order.  The caller owns `out`, so a
+    /// search that drains bucket after bucket reuses one buffer.
+    pub fn nontree_take_bucket_one(&mut self, level: usize, out: &mut Vec<usize>) {
         let level = narrow(level);
         let (lo, hi) = (
             level_start(&self.nontree, level),
             level_end(&self.nontree, level),
         );
-        self.nontree
-            .drain(lo..hi)
-            .map(|(_, w)| w as usize)
-            .collect()
+        out.extend(self.nontree.drain(lo..hi).map(|(_, w)| w as usize));
     }
 
     /// Replaces the level-`level` non-tree bucket wholesale.  `neighbors`
     /// must be sorted ascending — every caller holds a sorted subsequence of
     /// a previously taken (sorted) bucket, so the canonical order is
     /// preserved by construction rather than re-established by sorting.
-    pub fn nontree_set_bucket_one(&mut self, level: usize, neighbors: Vec<usize>) {
+    /// Writing back a subsequence of a just-taken bucket reuses the array's
+    /// capacity, so the take/set round trip allocates nothing.
+    pub fn nontree_set_bucket_one(&mut self, level: usize, neighbors: &[usize]) {
         let level = narrow(level);
         debug_assert!(
             neighbors.windows(2).all(|w| w[0] < w[1]),
@@ -237,7 +236,7 @@ impl VertexAdj {
             level_end(&self.nontree, level),
         );
         self.nontree
-            .splice(lo..hi, neighbors.into_iter().map(|w| (level, narrow(w))));
+            .splice(lo..hi, neighbors.iter().map(|&w| (level, narrow(w))));
     }
 
     /// Snapshot of the level-`level` non-tree neighbours, ascending.
@@ -354,10 +353,10 @@ impl LevelAdjacency {
         self.verts[v].tree_neighbors()
     }
 
-    /// Tree neighbours of `v` with edge level **at least** `level`, touching
-    /// only the qualifying tail range — never the lower-level entries — in
-    /// ascending `(level, neighbour)` order.
-    pub fn tree_neighbors_from(&self, v: usize, level: usize) -> impl Iterator<Item = usize> + '_ {
+    /// `v`'s tree edges with level **at least** `level`, as the
+    /// `(level, neighbour)` tail slice of its mirror — never the lower-level
+    /// entries — in ascending `(level, neighbour)` order.
+    pub fn tree_neighbors_from(&self, v: usize, level: usize) -> &[(u32, u32)] {
         self.verts[v].tree_neighbors_from(level)
     }
 
@@ -386,17 +385,17 @@ impl LevelAdjacency {
         self.verts[v].nontree_neighbors_at(level)
     }
 
-    /// Removes and returns `v`'s **own** level-`level` bucket wholesale.  The
-    /// mirror entries at the neighbours are left untouched — the caller is
-    /// responsible for them (used by the replacement scan, which re-files
-    /// every drained edge exactly once, keeping its cost linear in the bucket
-    /// instead of quadratic remove-by-scan).
-    pub fn nontree_take_bucket(&mut self, v: usize, level: usize) -> Vec<usize> {
-        self.verts[v].nontree_take_bucket_one(level)
+    /// Removes `v`'s **own** level-`level` bucket wholesale, appending it to
+    /// `out`.  The mirror entries at the neighbours are left untouched — the
+    /// caller is responsible for them (used by the replacement scan, which
+    /// re-files every drained edge exactly once, keeping its cost linear in
+    /// the bucket instead of quadratic remove-by-scan).
+    pub fn nontree_take_bucket(&mut self, v: usize, level: usize, out: &mut Vec<usize>) {
+        self.verts[v].nontree_take_bucket_one(level, out);
     }
 
     /// Replaces `v`'s own level-`level` bucket wholesale (mirrors untouched).
-    pub fn nontree_set_bucket(&mut self, v: usize, level: usize, neighbors: Vec<usize>) {
+    pub fn nontree_set_bucket(&mut self, v: usize, level: usize, neighbors: &[usize]) {
         self.verts[v].nontree_set_bucket_one(level, neighbors);
     }
 
@@ -469,14 +468,15 @@ mod tests {
         let mut adj = LevelAdjacency::new(4);
         adj.nontree_insert(0, 1, 0);
         adj.nontree_insert(0, 2, 0);
-        let bucket = adj.nontree_take_bucket(0, 0);
-        assert_eq!(bucket.len(), 2);
+        let mut bucket = Vec::new();
+        adj.nontree_take_bucket(0, 0, &mut bucket);
+        assert_eq!(bucket, vec![1, 2]);
         assert!(adj.nontree_neighbors_at(0, 0).is_empty());
         // mirrors still present until the caller re-files them
         assert!(adj.nontree_remove_one_sided(1, 0, 0));
         adj.nontree_push_one_sided(1, 0, 1);
         adj.nontree_push_one_sided(0, 1, 1);
-        adj.nontree_set_bucket(0, 0, vec![2]);
+        adj.nontree_set_bucket(0, 0, &[2]);
         assert_eq!(adj.nontree_neighbors_at(0, 0), vec![2]);
         assert_eq!(adj.nontree_neighbors_at(0, 1), vec![1]);
         assert!(adj.nontree_remove(0, 2, 0));
@@ -512,16 +512,15 @@ mod tests {
             adj.tree_neighbors(0).collect::<Vec<_>>(),
             vec![(1, 2), (3, 0), (5, 1), (7, 1)]
         );
-        assert_eq!(
-            adj.tree_neighbors_from(0, 1).collect::<Vec<_>>(),
-            vec![5, 7, 1]
-        );
+        assert_eq!(adj.tree_neighbors_from(0, 1), [(1, 5), (1, 7), (2, 1)]);
         assert_eq!(adj.tree_neighbors_at(0, 1), vec![5, 7]);
         adj.nontree_insert(0, 6, 1);
         adj.nontree_insert(0, 2, 1);
         adj.nontree_insert(0, 4, 0);
         assert_eq!(adj.nontree_neighbors_at(0, 1), vec![2, 6]);
-        assert_eq!(adj.nontree_take_bucket(0, 1), vec![2, 6]);
+        let mut taken = vec![9];
+        adj.nontree_take_bucket(0, 1, &mut taken);
+        assert_eq!(taken, vec![9, 2, 6], "the take appends to the buffer");
         assert_eq!(adj.nontree_neighbors_at(0, 0), vec![4]);
     }
 
@@ -620,11 +619,12 @@ mod tests {
                     .map(|(&w, &l)| (l, w))
                     .collect();
                 model_from.sort_unstable();
-                assert_eq!(
-                    v.tree_neighbors_from(from).collect::<Vec<_>>(),
-                    model_from.into_iter().map(|(_, w)| w).collect::<Vec<_>>(),
-                    "tree_neighbors_from({from})"
-                );
+                let flat_from: Vec<(usize, usize)> = v
+                    .tree_neighbors_from(from)
+                    .iter()
+                    .map(|&(l, w)| (l as usize, w as usize))
+                    .collect();
+                assert_eq!(flat_from, model_from, "tree_neighbors_from({from})");
             }
             for (&level, bucket) in &self.nontree {
                 let mut sorted = bucket.clone();
@@ -703,7 +703,8 @@ mod tests {
                     _ => {
                         // take-then-set round trip with a filtered survivor
                         // subsequence (what the replacement scan does)
-                        let taken = flat.nontree_take_bucket_one(level);
+                        let mut taken = Vec::new();
+                        flat.nontree_take_bucket_one(level, &mut taken);
                         let mut model_taken = model.nontree.remove(&level).unwrap_or_default();
                         model_taken.sort_unstable();
                         assert_eq!(taken, model_taken);
@@ -712,7 +713,7 @@ mod tests {
                         if !survivors.is_empty() {
                             model.nontree.insert(level, survivors.clone());
                         }
-                        flat.nontree_set_bucket_one(level, survivors);
+                        flat.nontree_set_bucket_one(level, &survivors);
                     }
                 }
                 model.assert_matches(&flat);

@@ -24,12 +24,16 @@
 //! The search body itself is restructured relative to the historical
 //! per-edge code: the tree-edge level bumps of each pass run as a grouped
 //! collect-then-apply sweep over the side (the read-only collect can fan out
-//! over [`chunk_ranges`] for huge sides), and the side vectors and bump
-//! buffers live in a reusable [`SearchScratch`] arena instead of fresh
-//! allocations per search.  The non-tree scan stays a strictly sequential
-//! early-exit loop: its scanned-edge count is part of the deterministic
-//! telemetry contract, and the first qualifying edge — in canonical bucket
-//! order — must be the one promoted.
+//! over [`chunk_ranges`] for huge sides), and the side queues, the bump
+//! buffer and the drained non-tree bucket live in a reusable
+//! [`SearchScratch`] arena instead of fresh allocations per search.  The
+//! lock-step BFS walks borrowed adjacency slices
+//! ([`SearchAdj::tree_neighbors_from`]) through a slice cursor, so with
+//! warm scratch a search through [`DirectAdj`] allocates nothing unless it
+//! fans its bump collect out over the pool (DESIGN.md §12).  The non-tree
+//! scan stays a strictly sequential early-exit loop: its scanned-edge count
+//! is part of the deterministic telemetry contract, and the first
+//! qualifying edge — in canonical bucket order — must be the one promoted.
 
 use dyntree_primitives::hash::FxHashMap;
 
@@ -59,10 +63,13 @@ pub(crate) fn canonical(u: Vertex, v: Vertex) -> (Vertex, Vertex) {
 /// The adjacency + edge-registry surface a replacement search needs.  Every
 /// mutation is expressed in the same vocabulary [`LevelAdjacency`] exposes,
 /// so the direct and overlay implementations stay line-for-line parallel.
+/// Reads hand out borrowed slices and bucket drains fill a caller-owned
+/// buffer, so the surface itself never allocates.
 pub(crate) trait SearchAdj {
-    /// Tree neighbours of `v` with edge level ≥ `level` (bucketed order).
-    fn tree_neighbors_from(&self, v: Vertex, level: usize)
-        -> Box<dyn Iterator<Item = Vertex> + '_>;
+    /// `v`'s tree edges with level ≥ `level`: the borrowed tail slice of
+    /// its `(level, neighbour)` mirror, in ascending `(level, neighbour)`
+    /// order (see [`VertexAdj::tree_neighbors_from`]).
+    fn tree_neighbors_from(&self, v: Vertex, level: usize) -> &[(u32, u32)];
 
     /// Appends `(v, w)` for every tree neighbour `w` of `v` at exactly
     /// `level`.
@@ -74,11 +81,13 @@ pub(crate) trait SearchAdj {
     /// Raises tree edge `(x, w)` to `level` (adjacency both sides + registry).
     fn bump_tree_edge(&mut self, x: Vertex, w: Vertex, level: usize);
 
-    /// Removes and returns `v`'s own level-`level` non-tree bucket.
-    fn nontree_take_bucket(&mut self, v: Vertex, level: usize) -> Vec<Vertex>;
+    /// Removes `v`'s own level-`level` non-tree bucket, appending it to
+    /// `out` in ascending neighbour order.
+    fn nontree_take_bucket(&mut self, v: Vertex, level: usize, out: &mut Vec<Vertex>);
 
-    /// Replaces `v`'s own level-`level` non-tree bucket.
-    fn nontree_set_bucket(&mut self, v: Vertex, level: usize, bucket: Vec<Vertex>);
+    /// Replaces `v`'s own level-`level` non-tree bucket with `bucket`
+    /// (ascending).
+    fn nontree_set_bucket(&mut self, v: Vertex, level: usize, bucket: &[Vertex]);
 
     /// Raises non-tree edge `(x, y)` from `level` to `level + 1`: re-files
     /// the mirror at `y` and pushes both sides at the new level (`x`'s old
@@ -116,12 +125,8 @@ pub(crate) struct DirectAdj<'a> {
 }
 
 impl SearchAdj for DirectAdj<'_> {
-    fn tree_neighbors_from(
-        &self,
-        v: Vertex,
-        level: usize,
-    ) -> Box<dyn Iterator<Item = Vertex> + '_> {
-        Box::new(self.adj.tree_neighbors_from(v, level))
+    fn tree_neighbors_from(&self, v: Vertex, level: usize) -> &[(u32, u32)] {
+        self.adj.tree_neighbors_from(v, level)
     }
 
     fn collect_bumps(&self, v: Vertex, level: usize, out: &mut Vec<(Vertex, Vertex)>) {
@@ -140,11 +145,11 @@ impl SearchAdj for DirectAdj<'_> {
             .level = level;
     }
 
-    fn nontree_take_bucket(&mut self, v: Vertex, level: usize) -> Vec<Vertex> {
-        self.adj.nontree_take_bucket(v, level)
+    fn nontree_take_bucket(&mut self, v: Vertex, level: usize, out: &mut Vec<Vertex>) {
+        self.adj.nontree_take_bucket(v, level, out);
     }
 
-    fn nontree_set_bucket(&mut self, v: Vertex, level: usize, bucket: Vec<Vertex>) {
+    fn nontree_set_bucket(&mut self, v: Vertex, level: usize, bucket: &[Vertex]) {
         self.adj.nontree_set_bucket(v, level, bucket);
     }
 
@@ -293,12 +298,8 @@ pub(crate) struct OverlayDiffs {
 }
 
 impl SearchAdj for OverlayAdj<'_> {
-    fn tree_neighbors_from(
-        &self,
-        v: Vertex,
-        level: usize,
-    ) -> Box<dyn Iterator<Item = Vertex> + '_> {
-        Box::new(self.view(v).tree_neighbors_from(level))
+    fn tree_neighbors_from(&self, v: Vertex, level: usize) -> &[(u32, u32)] {
+        self.view(v).tree_neighbors_from(level)
     }
 
     fn collect_bumps(&self, v: Vertex, level: usize, out: &mut Vec<(Vertex, Vertex)>) {
@@ -318,11 +319,11 @@ impl SearchAdj for OverlayAdj<'_> {
         self.set_edge(key, info);
     }
 
-    fn nontree_take_bucket(&mut self, v: Vertex, level: usize) -> Vec<Vertex> {
-        self.touch(v).nontree_take_bucket_one(level)
+    fn nontree_take_bucket(&mut self, v: Vertex, level: usize, out: &mut Vec<Vertex>) {
+        self.touch(v).nontree_take_bucket_one(level, out);
     }
 
-    fn nontree_set_bucket(&mut self, v: Vertex, level: usize, bucket: Vec<Vertex>) {
+    fn nontree_set_bucket(&mut self, v: Vertex, level: usize, bucket: &[Vertex]) {
         self.touch(v).nontree_set_bucket_one(level, bucket);
     }
 
@@ -350,15 +351,15 @@ impl SearchAdj for OverlayAdj<'_> {
 }
 
 /// Reusable per-engine (or per-worker) search scratch: the two lock-step
-/// side queues and the bump-pair buffer.  Replaces the fresh `Vec`
-/// allocations the search used to make per level pass — on delete-heavy
-/// traces those allocations were a measurable slice of the replacement
-/// search's wall share.
+/// side queues, the bump-pair buffer and the non-tree bucket the scan
+/// drains into.  With these warm, a replacement search through
+/// [`DirectAdj`] on one thread allocates nothing (DESIGN.md §12).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct SearchScratch {
     queue_a: Vec<Vertex>,
     queue_b: Vec<Vertex>,
     bump_pairs: Vec<(Vertex, Vertex)>,
+    bucket: Vec<Vertex>,
 }
 
 impl SearchScratch {
@@ -368,31 +369,35 @@ impl SearchScratch {
         self.queue_a.capacity() != 0 || self.queue_b.capacity() != 0
     }
 
-    /// Approximate heap bytes held by the arena.
+    /// Exact heap bytes held by the arena: `capacity × entry size` per
+    /// buffer.
     pub fn memory_bytes(&self) -> usize {
-        let word = std::mem::size_of::<usize>();
-        (self.queue_a.capacity() + self.queue_b.capacity()) * word
-            + self.bump_pairs.capacity() * 2 * word
+        let vertex = std::mem::size_of::<Vertex>();
+        (self.queue_a.capacity() + self.queue_b.capacity() + self.bucket.capacity()) * vertex
+            + self.bump_pairs.capacity() * std::mem::size_of::<(Vertex, Vertex)>()
     }
 }
 
 /// One side of the per-edge lock-step BFS: each `step` consumes at most one
 /// level ≥ `level` adjacency entry of the frontier (lower-level entries are
-/// never visited — the bucketed adjacency keeps them out of the iterator),
-/// so alternating two sides costs `O(min(|A|, |B|))` `F_level` edges before
-/// the smaller one exhausts.  The queue lives in the caller's scratch arena.
+/// never visited — the bucketed adjacency keeps them out of the slice), so
+/// alternating two sides costs `O(min(|A|, |B|))` `F_level` edges before
+/// the smaller one exhausts.  The side is a cursor: the index of the vertex
+/// being expanded plus the unconsumed rest of its borrowed adjacency slice,
+/// so stepping allocates nothing.  The queue lives in the caller's scratch
+/// arena.
 struct LockstepSide<'a> {
     /// Index of the vertex currently being expanded.
     qi: usize,
-    /// Lazy iterator over the current vertex's level ≥ `level` neighbours.
-    cur: Option<Box<dyn Iterator<Item = Vertex> + 'a>>,
+    /// The current vertex's level ≥ `level` entries not yet consumed.
+    cur: &'a [(u32, u32)],
 }
 
 impl<'a> LockstepSide<'a> {
     fn new<A: SearchAdj + ?Sized>(adj: &'a A, start: Vertex, level: usize) -> Self {
         Self {
             qi: 0,
-            cur: Some(adj.tree_neighbors_from(start, level)),
+            cur: adj.tree_neighbors_from(start, level),
         }
     }
 
@@ -407,21 +412,20 @@ impl<'a> LockstepSide<'a> {
         level: usize,
     ) -> bool {
         loop {
-            if let Some(it) = self.cur.as_mut() {
-                if let Some(w) = it.next() {
-                    if mark[w] != stamp {
-                        mark[w] = stamp;
-                        queue.push(w);
-                    }
-                    return true;
+            if let Some((&(_, w), rest)) = self.cur.split_first() {
+                self.cur = rest;
+                let w = w as Vertex;
+                if mark[w] != stamp {
+                    mark[w] = stamp;
+                    queue.push(w);
                 }
-                self.cur = None;
+                return true;
             }
             self.qi += 1;
             if self.qi >= queue.len() {
                 return false;
             }
-            self.cur = Some(adj.tree_neighbors_from(queue[self.qi], level));
+            self.cur = adj.tree_neighbors_from(queue[self.qi], level);
         }
     }
 }
@@ -548,46 +552,47 @@ pub(crate) fn search_replacement<A: SearchAdj>(
         // Scan the side's level-`level` non-tree edges: the first one
         // leaving the side reconnects the components; the scanned ones
         // before it are pushed up a level (they stay inside the side).
-        // Each vertex's bucket is drained wholesale and every drained edge
-        // re-filed exactly once, so the scan is linear in the number of
-        // scanned edges.  Strictly sequential with early exit — the scanned
-        // count and the promoted edge are part of the deterministic
-        // contract.
+        // Each vertex's bucket is drained wholesale into the scratch buffer
+        // and every drained edge re-filed exactly once, so the scan is
+        // linear in the number of scanned edges.  The survivors are
+        // compacted in place (the kept scanned prefix, then the unscanned
+        // tail) and written back from the buffer.  Strictly sequential with
+        // early exit — the scanned count and the promoted edge are part of
+        // the deterministic contract.
         let mut promoted: Option<(Vertex, Vertex)> = None;
         for &x in &side {
-            let bucket = adj.nontree_take_bucket(x, level);
-            let mut drained = bucket.into_iter();
-            let mut survivors: Vec<Vertex> = Vec::new();
-            let mut found: Option<Vertex> = None;
-            let mut scanned = 0u64;
+            let bucket = &mut scratch.bucket;
+            bucket.clear();
+            adj.nontree_take_bucket(x, level, bucket);
+            let mut kept = 0;
+            let mut found: Option<(usize, Vertex)> = None;
             let mut bumped = 0u64;
-            for y in drained.by_ref() {
-                scanned += 1;
-                if mark[y] == *stamp {
-                    if level + 1 < level_cap {
-                        adj.bump_nontree_edge(x, y, level);
-                        bumped += 1;
-                    } else {
-                        survivors.push(y);
-                    }
-                } else {
-                    found = Some(y);
+            for (i, &y) in bucket.iter().enumerate() {
+                if mark[y] != *stamp {
+                    found = Some((i, y));
                     break;
                 }
+                if level + 1 < level_cap {
+                    adj.bump_nontree_edge(x, y, level);
+                    bumped += 1;
+                } else {
+                    kept += 1;
+                }
             }
-            tel.add(Counter::ReplacementEdgesScanned, scanned);
+            let scanned = found.map_or(bucket.len(), |(i, _)| i + 1);
+            tel.add(Counter::ReplacementEdgesScanned, scanned as u64);
             tel.add(Counter::LevelBumpsNonTree, bumped);
-            if let Some(y) = found {
-                // unscanned edges keep their level
-                survivors.extend(drained);
-                adj.nontree_set_bucket(x, level, survivors);
+            // drop the bumped edges and the promoted one; unscanned edges
+            // keep their level
+            bucket.drain(kept..scanned);
+            adj.nontree_set_bucket(x, level, bucket);
+            if let Some((_, y)) = found {
                 // Replacement found: promote to a tree edge.
                 adj.promote(x, y, level);
                 tel.incr(Counter::ReplacementPromotions);
                 promoted = Some(canonical(x, y));
                 break;
             }
-            adj.nontree_set_bucket(x, level, survivors);
         }
 
         // Return the winner queue to the arena before leaving the pass.

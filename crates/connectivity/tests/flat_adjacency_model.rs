@@ -109,12 +109,13 @@ impl Model {
                 .map(|&(_, w)| w)
                 .collect();
             prop_assert_eq!(at, model_at, "tree_neighbors_at({}) order", level);
-            let from: Vec<usize> = flat.tree_neighbors_from(level).collect();
-            let model_from: Vec<usize> = self
-                .tree_by_level
-                .range((level, 0)..)
-                .map(|&(_, w)| w)
+            let from: Vec<(usize, usize)> = flat
+                .tree_neighbors_from(level)
+                .iter()
+                .map(|&(l, w)| (l as usize, w as usize))
                 .collect();
+            let model_from: Vec<(usize, usize)> =
+                self.tree_by_level.range((level, 0)..).copied().collect();
             prop_assert_eq!(from, model_from, "tree_neighbors_from({}) order", level);
             prop_assert_eq!(
                 flat.nontree_neighbors_at(level),
@@ -172,10 +173,15 @@ proptest! {
                     prop_assert_eq!(flat.nontree_remove_one(w, level),
                                     model.nontree_remove(w, level));
                 }
-                // drain a whole bucket (ascending order must agree)
+                // drain a whole bucket (ascending order must agree), appended
+                // to a buffer that already holds `extra` stale entries — the
+                // take must keep them, as the search's reused buffer relies on
                 5 => {
-                    prop_assert_eq!(flat.nontree_take_bucket_one(level),
-                                    model.nontree_take_bucket(level));
+                    let mut taken = vec![W; extra];
+                    flat.nontree_take_bucket_one(level, &mut taken);
+                    let mut want = vec![W; extra];
+                    want.extend(model.nontree_take_bucket(level));
+                    prop_assert_eq!(taken, want);
                 }
                 // replace a bucket with a kept subsequence of itself — the
                 // side-drain writeback pattern (strictly ascending input)
@@ -188,7 +194,7 @@ proptest! {
                             .filter(|(i, _)| (i + extra) % 3 != 0)
                             .map(|(_, &w)| w)
                             .collect();
-                        flat.nontree_set_bucket_one(level, kept.clone());
+                        flat.nontree_set_bucket_one(level, &kept);
                         model.nontree_set_bucket(level, &kept);
                     }
                 }

@@ -370,10 +370,13 @@ impl<M: CommutativeMonoid> FoldTree<M> {
             && (self.cap() == 1 || blocks > self.cap() / 4)
     }
 
-    /// Re-folds the stale blocks, in block order, and the tree nodes above
-    /// them.
-    fn refresh(&mut self, clusters: &ClusterSlab<M>, children: &[u32]) {
+    /// Re-folds the stale blocks, in block order, then merges every tree
+    /// node above them exactly once, bottom-up.  `work` (caller-owned
+    /// scratch) holds one tree level's re-computed nodes in ascending
+    /// order; each pass replaces them, in place, by their distinct parents.
+    fn refresh(&mut self, clusters: &ClusterSlab<M>, children: &[u32], work: &mut Vec<usize>) {
         let cap = self.cap();
+        work.clear();
         for w in 0..self.stale.len() {
             let mut bits = std::mem::take(&mut self.stale[w]);
             while bits != 0 {
@@ -382,14 +385,26 @@ impl<M: CommutativeMonoid> FoldTree<M> {
                 let lo = (1 + k * B).min(children.len());
                 let hi = (1 + (k + 1) * B).min(children.len());
                 self.nodes[cap + k] = Fold::of(clusters, self.hub, &children[lo..hi]);
-                let mut i = (cap + k) / 2;
-                while i >= 1 {
-                    #[cfg(test)]
-                    tests::FOLD_READS.with(|n| n.set((n.get().0, n.get().1 + 1)));
-                    self.nodes[i] = self.nodes[2 * i].merge(&self.nodes[2 * i + 1]);
-                    i /= 2;
-                }
+                work.push(cap + k);
             }
+        }
+        // The nodes of one pass share a level, so their parents come out
+        // ascending with duplicates adjacent, and the write index never
+        // passes the read index.
+        while work.first().is_some_and(|&i| i > 1) {
+            let mut len = 0;
+            for r in 0..work.len() {
+                let p = work[r] / 2;
+                if len > 0 && work[len - 1] == p {
+                    continue;
+                }
+                #[cfg(test)]
+                tests::FOLD_READS.with(|n| n.set((n.get().0, n.get().1 + 1)));
+                self.nodes[p] = self.nodes[2 * p].merge(&self.nodes[2 * p + 1]);
+                work[len] = p;
+                len += 1;
+            }
+            work.truncate(len);
         }
     }
 
@@ -437,12 +452,13 @@ pub struct ContractionForest<M: CommutativeMonoid = SumMinMax> {
     flush_levels: Vec<Vec<u32>>,
     /// Scratch buffers reused across updates, so a steady-state update
     /// allocates nothing: the level being flushed, the level being
-    /// reclustered, the parents created at that level, and one hub's
-    /// neighbours in Phase A.
+    /// reclustered, the parents created at that level, one hub's
+    /// neighbours in Phase A, and the fold-tree nodes a refresh re-merges.
     flush_work: Vec<u32>,
     roots: Vec<u32>,
     new_parents: Vec<u32>,
     hub_nbrs: Vec<u32>,
+    fold_work: Vec<usize>,
     /// Cached block folds, keyed by cluster id; present exactly for the
     /// clusters with more than `B` children.
     folds: FxHashMap<u32, FoldTree<M>>,
@@ -470,6 +486,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             roots: Vec::new(),
             new_parents: Vec::new(),
             hub_nbrs: Vec::new(),
+            fold_work: Vec::new(),
             folds: FxHashMap::default(),
             num_edges: 0,
         };
@@ -1340,7 +1357,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         }
         match self.folds.get_mut(&c) {
             Some(tree) if tree.fits(&self.clusters, children) => {
-                tree.refresh(&self.clusters, children);
+                tree.refresh(&self.clusters, children, &mut self.fold_work);
                 tree.nodes[1]
             }
             _ => {
@@ -1983,7 +2000,16 @@ mod tests {
         }
         assert!(!f.dirty.is_empty());
         assert!(f.dirty.len() <= f.live_clusters());
+        // the refresh re-merges each fold-tree node above a stale block
+        // once, however many updates staled blocks below it
+        let merge_bound: usize = f.folds.values().map(|t| t.cap() - 1).sum();
+        FOLD_READS.with(|n| n.set((0, 0)));
         f.settle();
+        let (_, merged) = FOLD_READS.with(|n| n.get());
+        assert!(
+            merged <= merge_bound,
+            "settling re-merged {merged} fold-tree nodes, at most {merge_bound} exist"
+        );
         f.check_invariants().unwrap();
         assert_eq!(f.component_size(0), LEAVES as u64 + 1);
 

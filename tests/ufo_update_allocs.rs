@@ -8,54 +8,13 @@
 //! deterministic for a seed, so the bound checks the mechanism without
 //! timing anything.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting_alloc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ufo_trees::UfoForest;
 
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count() {
-    // `try_with`: the allocator also runs while thread-locals are torn down
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a const-initialised
-// thread-local without a destructor, so counting never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
+use counting_alloc::allocs;
 
 const N: usize = 8192;
 const WARMUP: usize = 2000;
