@@ -203,13 +203,15 @@ pub trait SpanningBackend: Send + Sync {
         None
     }
 
-    /// Writes one representative id per vertex into `out` — values that are
-    /// equal iff the vertices are in the same tree — and returns `true`.
-    /// The default declines with `false` (splay-based backends would need
-    /// `&mut self` to walk themselves), and the engine falls back to a BFS
-    /// over its own tree adjacency; either way the engine renumbers the raw
-    /// representatives into canonical dense labels, so implementations may
-    /// emit any ids they like (root vertex, top-cluster id, ...).
+    /// Writes one representative id per vertex into `out` — values below
+    /// `n`, equal iff the vertices are in the same tree — and returns
+    /// `true`.  The default declines with `false` (splay-based backends
+    /// would need `&mut self` to walk themselves), and the engine falls back
+    /// to a BFS over its own tree adjacency.  Either way the engine
+    /// renumbers the representatives into canonical dense labels through a
+    /// table indexed by them, so implementations may emit any vertex-range
+    /// ids they like (a member vertex, a dense label, ...), but not ids
+    /// from a larger space such as top-cluster slab ids.
     ///
     /// Read-only by contract: the serving layer's snapshot builder calls it
     /// while reader threads hold older snapshots.
@@ -281,9 +283,7 @@ impl<M: CommutativeMonoid> SpanningBackend for UfoForest<M> {
         UfoForest::path_aggregate(self, u, v)
     }
     fn export_components(&self, out: &mut Vec<usize>) -> bool {
-        let eng = self.engine();
-        out.clear();
-        out.extend((0..self.len()).map(|v| eng.top_cluster(v)));
+        self.engine().component_labels(out);
         true
     }
     fn memory_bytes(&self) -> usize {
@@ -687,6 +687,8 @@ mod tests {
                 return;
             }
             assert_eq!(reps.len(), 5, "{}", B::NAME);
+            // the engine renumbers through a table indexed by representative
+            assert!(reps.iter().all(|&r| r < 5), "{}: {reps:?}", B::NAME);
             for u in 0..5 {
                 for v in 0..5 {
                     assert_eq!(

@@ -2,7 +2,7 @@
 //! plus the HDT level machinery for replacement-edge search on deletions.
 
 use dyntree_primitives::algebra::{Action, ActionOf, Agg, WeightOf};
-use dyntree_primitives::hash::{fx_map_with_capacity, FxHashMap};
+use dyntree_primitives::hash::FxHashMap;
 use dyntree_primitives::ops::{assert_id_space, DeleteOutcome, EdgeKind, GraphError, MAX_VERTICES};
 use dyntree_primitives::telemetry::{Counter, TelemetrySnapshot};
 use dyntree_primitives::{Dsu, ParallelConfig, Telemetry};
@@ -535,9 +535,10 @@ impl<B: SpanningBackend> DynConnectivity<B> {
     /// snapshot builder freezes this array into its published view.
     ///
     /// Uses the backend's [`export_components`](SpanningBackend::export_components)
-    /// dump when offered (e.g. the UFO backends' top-cluster walk), else a
-    /// BFS over the engine's own tree adjacency; either way the raw
-    /// representatives are renumbered into the canonical dense form.
+    /// dump when offered (e.g. the UFO backend's walk up its parent array),
+    /// else a BFS over the engine's own tree adjacency; a dump's
+    /// representatives are renumbered into the canonical dense form through
+    /// an `n`-entry table.
     pub fn export_component_labels(&self, labels: &mut Vec<u32>) {
         assert!(
             u32::try_from(self.n).is_ok(),
@@ -548,12 +549,18 @@ impl<B: SpanningBackend> DynConnectivity<B> {
         let mut reps: Vec<usize> = Vec::new();
         if self.backend.export_components(&mut reps) {
             debug_assert_eq!(reps.len(), self.n, "backend exported a partial dump");
-            // renumber arbitrary representatives to dense first-appearance ids
-            let mut dense: FxHashMap<usize, u32> = fx_map_with_capacity(self.components);
+            // renumber the representatives (vertex-range ids) to dense
+            // first-appearance ids through a table indexed by them
+            let mut dense = vec![u32::MAX; self.n];
+            let mut next = 0u32;
             labels.reserve(self.n);
             for &r in &reps {
-                let next = dense.len() as u32;
-                labels.push(*dense.entry(r).or_insert(next));
+                debug_assert!(r < self.n, "backend exported representative {r} >= n");
+                if dense[r] == u32::MAX {
+                    dense[r] = next;
+                    next += 1;
+                }
+                labels.push(dense[r]);
             }
         } else {
             // canonical BFS over the engine's tree adjacency: scanning

@@ -239,6 +239,13 @@ impl VertexAdj {
             .splice(lo..hi, neighbors.iter().map(|&w| (level, narrow(w))));
     }
 
+    /// Whether the level-`level` non-tree bucket is empty.
+    pub fn nontree_bucket_is_empty(&self, level: usize) -> bool {
+        let level = narrow(level);
+        let pos = level_start(&self.nontree, level);
+        self.nontree.get(pos).is_none_or(|&(l, _)| l != level)
+    }
+
     /// Snapshot of the level-`level` non-tree neighbours, ascending.
     pub fn nontree_neighbors_at(&self, level: usize) -> Vec<usize> {
         let level = narrow(level);

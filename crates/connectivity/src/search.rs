@@ -319,12 +319,19 @@ impl SearchAdj for OverlayAdj<'_> {
         self.set_edge(key, info);
     }
 
+    // An empty bucket is read through the view: taking it, or writing an
+    // empty one back over it, changes nothing, so neither copies `v` into
+    // the diff.
     fn nontree_take_bucket(&mut self, v: Vertex, level: usize, out: &mut Vec<Vertex>) {
-        self.touch(v).nontree_take_bucket_one(level, out);
+        if !self.view(v).nontree_bucket_is_empty(level) {
+            self.touch(v).nontree_take_bucket_one(level, out);
+        }
     }
 
     fn nontree_set_bucket(&mut self, v: Vertex, level: usize, bucket: &[Vertex]) {
-        self.touch(v).nontree_set_bucket_one(level, bucket);
+        if !bucket.is_empty() || !self.view(v).nontree_bucket_is_empty(level) {
+            self.touch(v).nontree_set_bucket_one(level, bucket);
+        }
     }
 
     fn bump_nontree_edge(&mut self, x: Vertex, y: Vertex, level: usize) {
@@ -606,4 +613,40 @@ pub(crate) fn search_replacement<A: SearchAdj>(
         }
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A take/set round trip on an empty bucket copies no vertex into the
+    /// overlay, while one on a non-empty bucket does.
+    #[test]
+    fn empty_bucket_round_trip_leaves_the_overlay_diff_empty() {
+        let mut adj = LevelAdjacency::new(3);
+        adj.nontree_insert(0, 1, 0);
+        let edges = FxHashMap::default();
+        let mut overlay = OverlayAdj::new(&adj, &edges);
+        let mut bucket = Vec::new();
+        // vertex 2 has no non-tree edges; vertex 0 has none at level 1
+        for (v, level) in [(2, 0), (0, 1)] {
+            overlay.nontree_take_bucket(v, level, &mut bucket);
+            assert!(bucket.is_empty());
+            overlay.nontree_set_bucket(v, level, &bucket);
+        }
+        let diffs = overlay.into_diffs();
+        assert!(diffs.vertices.is_empty() && diffs.edges.is_empty());
+
+        let mut overlay = OverlayAdj::new(&adj, &edges);
+        overlay.nontree_take_bucket(0, 0, &mut bucket);
+        assert_eq!(bucket, [1]);
+        overlay.nontree_set_bucket(0, 0, &bucket);
+        let touched: Vec<Vertex> = overlay
+            .into_diffs()
+            .vertices
+            .iter()
+            .map(|&(v, _)| v)
+            .collect();
+        assert_eq!(touched, [0]);
+    }
 }

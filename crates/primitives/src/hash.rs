@@ -76,17 +76,11 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// `HashMap` with the fast deterministic hasher.  Construct with
-/// `FxHashMap::default()` or [`fx_map_with_capacity`].
+/// `FxHashMap::default()`.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// `HashSet` with the fast deterministic hasher.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
-
-/// `FxHashMap::with_capacity` (custom-hasher maps lack the inherent fn).
-#[inline]
-pub fn fx_map_with_capacity<K, V>(capacity: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default())
-}
 
 /// `FxHashSet::with_capacity` (custom-hasher sets lack the inherent fn).
 #[inline]
@@ -109,7 +103,7 @@ mod tests {
 
     #[test]
     fn map_round_trips_pair_keys() {
-        let mut m: FxHashMap<(usize, usize), u32> = fx_map_with_capacity(64);
+        let mut m: FxHashMap<(usize, usize), u32> = FxHashMap::default();
         for u in 0..40usize {
             for v in u + 1..40 {
                 m.insert((u, v), (u * 41 + v) as u32);

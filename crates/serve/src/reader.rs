@@ -53,6 +53,7 @@ impl<M: CommutativeMonoid> ReadHandle<M> {
     }
 
     /// Whether `u` and `v` are connected at the latest epoch.
+    #[inline]
     pub fn connected(&mut self, u: usize, v: usize) -> Versioned<bool> {
         self.refresh();
         self.ring.tel().incr(Counter::ReaderQueriesServed);
@@ -64,6 +65,7 @@ impl<M: CommutativeMonoid> ReadHandle<M> {
 
     /// Number of vertices in `v`'s component at the latest epoch (out of
     /// range → 0).
+    #[inline]
     pub fn component_size(&mut self, v: usize) -> Versioned<u64> {
         self.refresh();
         self.ring.tel().incr(Counter::ReaderQueriesServed);
@@ -75,6 +77,7 @@ impl<M: CommutativeMonoid> ReadHandle<M> {
 
     /// Monoid aggregate over `v`'s component at the latest epoch (`None`
     /// when out of range).
+    #[inline]
     pub fn component_agg(&mut self, v: usize) -> Versioned<Option<Agg<M>>> {
         self.refresh();
         self.ring.tel().incr(Counter::ReaderQueriesServed);
@@ -128,6 +131,7 @@ impl<M: CommutativeMonoid> PinnedReader<M> {
     }
 
     /// Whether `u` and `v` are connected at the pinned epoch.
+    #[inline]
     pub fn connected(&self, u: usize, v: usize) -> Versioned<bool> {
         self.ring.tel().incr(Counter::ReaderQueriesServed);
         Versioned {
@@ -137,6 +141,7 @@ impl<M: CommutativeMonoid> PinnedReader<M> {
     }
 
     /// Number of vertices in `v`'s component at the pinned epoch.
+    #[inline]
     pub fn component_size(&self, v: usize) -> Versioned<u64> {
         self.ring.tel().incr(Counter::ReaderQueriesServed);
         Versioned {
@@ -146,6 +151,7 @@ impl<M: CommutativeMonoid> PinnedReader<M> {
     }
 
     /// Monoid aggregate over `v`'s component at the pinned epoch.
+    #[inline]
     pub fn component_agg(&self, v: usize) -> Versioned<Option<Agg<M>>> {
         self.ring.tel().incr(Counter::ReaderQueriesServed);
         Versioned {

@@ -79,13 +79,16 @@ pub struct AdjEntry {
 /// A cluster of the contraction hierarchy.
 ///
 /// Clusters live on a flat `Vec` slab with freelist recycling; all links
-/// (parent pointer, child list, adjacency) are narrowed `u32` slab ids.
+/// (child list, adjacency) are narrowed `u32` slab ids.  The parent pointer
+/// is not stored here but in [`ContractionForest`]'s dense `parents` array
+/// beside the slab, so a walk up the hierarchy reads 4 bytes per level
+/// instead of a whole cluster (DESIGN.md §2).
 #[derive(Clone, Debug)]
 pub struct Cluster<M: CommutativeMonoid = SumMinMax> {
-    /// Parent cluster (one level up) or `NIL32`.
-    pub parent: u32,
-    /// Level in the hierarchy (leaves are level 0).
-    pub level: u32,
+    /// Level in the hierarchy (leaves are level 0).  The height is
+    /// `O(log n)`, so 16 bits hold it ([`ContractionForest::new_cluster`]
+    /// checks the narrowing).
+    pub level: u16,
     /// Whether the cluster is live (false for freed slots).
     pub alive: bool,
     /// Whether the id is queued for a summary refresh (on the dirty list or
@@ -106,9 +109,8 @@ pub struct Cluster<M: CommutativeMonoid = SumMinMax> {
 
 impl<M: CommutativeMonoid> Cluster<M> {
     /// An unlinked cluster at `level` with no children and no adjacency.
-    fn unlinked(level: u32, alive: bool, summary: Summary<M>) -> Self {
+    fn unlinked(level: u16, alive: bool, summary: Summary<M>) -> Self {
         Cluster {
-            parent: NIL32,
             level,
             alive,
             queued: false,
@@ -134,47 +136,48 @@ impl<M: CommutativeMonoid> Cluster<M> {
     }
 }
 
-/// The cluster arena: a plain `Vec` slab that is additionally indexable by
-/// the narrowed `u32` ids stored inside clusters and adjacency entries, so
+/// A plain `Vec` indexed by cluster id: the cluster arena itself and the
+/// parent array beside it.  It is additionally indexable by the narrowed
+/// `u32` ids stored inside clusters and adjacency entries, so
 /// `clusters[entry.neighbor]` works without a cast at every site.
 #[derive(Clone, Debug)]
-pub(crate) struct ClusterSlab<M: CommutativeMonoid = SumMinMax>(Vec<Cluster<M>>);
+pub(crate) struct ClusterSlab<T>(Vec<T>);
 
-impl<M: CommutativeMonoid> std::ops::Deref for ClusterSlab<M> {
-    type Target = Vec<Cluster<M>>;
-    fn deref(&self) -> &Vec<Cluster<M>> {
+impl<T> std::ops::Deref for ClusterSlab<T> {
+    type Target = Vec<T>;
+    fn deref(&self) -> &Vec<T> {
         &self.0
     }
 }
 
-impl<M: CommutativeMonoid> std::ops::DerefMut for ClusterSlab<M> {
-    fn deref_mut(&mut self) -> &mut Vec<Cluster<M>> {
+impl<T> std::ops::DerefMut for ClusterSlab<T> {
+    fn deref_mut(&mut self) -> &mut Vec<T> {
         &mut self.0
     }
 }
 
-impl<M: CommutativeMonoid> std::ops::Index<u32> for ClusterSlab<M> {
-    type Output = Cluster<M>;
-    fn index(&self, i: u32) -> &Cluster<M> {
+impl<T> std::ops::Index<u32> for ClusterSlab<T> {
+    type Output = T;
+    fn index(&self, i: u32) -> &T {
         &self.0[i as usize]
     }
 }
 
-impl<M: CommutativeMonoid> std::ops::IndexMut<u32> for ClusterSlab<M> {
-    fn index_mut(&mut self, i: u32) -> &mut Cluster<M> {
+impl<T> std::ops::IndexMut<u32> for ClusterSlab<T> {
+    fn index_mut(&mut self, i: u32) -> &mut T {
         &mut self.0[i as usize]
     }
 }
 
-impl<M: CommutativeMonoid> std::ops::Index<usize> for ClusterSlab<M> {
-    type Output = Cluster<M>;
-    fn index(&self, i: usize) -> &Cluster<M> {
+impl<T> std::ops::Index<usize> for ClusterSlab<T> {
+    type Output = T;
+    fn index(&self, i: usize) -> &T {
         &self.0[i]
     }
 }
 
-impl<M: CommutativeMonoid> std::ops::IndexMut<usize> for ClusterSlab<M> {
-    fn index_mut(&mut self, i: usize) -> &mut Cluster<M> {
+impl<T> std::ops::IndexMut<usize> for ClusterSlab<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
         &mut self.0[i]
     }
 }
@@ -276,7 +279,7 @@ impl<M: CommutativeMonoid> Fold<M> {
     }
 
     /// Folds the pendants `ys` of a cluster whose hub is `hub`.
-    fn of(clusters: &ClusterSlab<M>, hub: u32, ys: &[u32]) -> Fold<M> {
+    fn of(clusters: &ClusterSlab<Cluster<M>>, hub: u32, ys: &[u32]) -> Fold<M> {
         let hub_sum = &clusters[hub].summary;
         let mut f = Fold::EMPTY;
         for &y in ys {
@@ -332,7 +335,7 @@ impl<M: CommutativeMonoid> FoldTree<M> {
     }
 
     /// Folds every block of `children` into a fresh tree with `cap` leaves.
-    fn build(clusters: &ClusterSlab<M>, children: &[u32], cap: usize) -> FoldTree<M> {
+    fn build(clusters: &ClusterSlab<Cluster<M>>, children: &[u32], cap: usize) -> FoldTree<M> {
         let hub = children[0];
         let hs = &clusters[hub].summary;
         let mut nodes = vec![Fold::EMPTY; 2 * cap];
@@ -361,7 +364,7 @@ impl<M: CommutativeMonoid> FoldTree<M> {
     /// Whether the tree still fits `children`: same hub and hub boundary,
     /// and a block count within `(cap / 4, cap]` so a fan-out oscillating at
     /// a power of two does not rebuild on every update.
-    fn fits(&self, clusters: &ClusterSlab<M>, children: &[u32]) -> bool {
+    fn fits(&self, clusters: &ClusterSlab<Cluster<M>>, children: &[u32]) -> bool {
         let hs = &clusters[children[0]].summary;
         let blocks = blocks(children.len());
         self.hub == children[0]
@@ -374,7 +377,12 @@ impl<M: CommutativeMonoid> FoldTree<M> {
     /// node above them exactly once, bottom-up.  `work` (caller-owned
     /// scratch) holds one tree level's re-computed nodes in ascending
     /// order; each pass replaces them, in place, by their distinct parents.
-    fn refresh(&mut self, clusters: &ClusterSlab<M>, children: &[u32], work: &mut Vec<usize>) {
+    fn refresh(
+        &mut self,
+        clusters: &ClusterSlab<Cluster<M>>,
+        children: &[u32],
+        work: &mut Vec<usize>,
+    ) {
         let cap = self.cap();
         work.clear();
         for w in 0..self.stale.len() {
@@ -441,7 +449,14 @@ pub struct ContractionForest<M: CommutativeMonoid = SumMinMax> {
     pub(crate) weights: Vec<M::Weight>,
     pub(crate) phantom: Vec<bool>,
     pub(crate) marked: Vec<bool>,
-    pub(crate) clusters: ClusterSlab<M>,
+    pub(crate) clusters: ClusterSlab<Cluster<M>>,
+    /// The parent of each slab id, one level up: `NIL32` for roots and for
+    /// freed slots.  Kept as a dense array beside `clusters` rather than in
+    /// each cluster, so the walks up the hierarchy (`connected`, the
+    /// ancestor deletions, the edge walks, the snapshot export) touch one
+    /// 4-byte entry per level instead of one cluster; it is always as long
+    /// as `clusters`.
+    pub(crate) parents: ClusterSlab<u32>,
     free: Vec<u32>,
     /// Root clusters awaiting reclustering, indexed by level.
     pending: Vec<Vec<u32>>,
@@ -478,6 +493,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             phantom: vec![false; n],
             marked: vec![false; n],
             clusters: ClusterSlab(Vec::with_capacity(2 * n)),
+            parents: ClusterSlab(Vec::with_capacity(2 * n)),
             free: Vec::new(),
             pending: Vec::new(),
             dirty: Vec::new(),
@@ -493,6 +509,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         for v in 0..n {
             let summary = forest.leaf_summary(v);
             forest.clusters.push(Cluster::new_leaf(summary));
+            forest.parents.push(NIL32);
         }
         forest
     }
@@ -536,9 +553,11 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             let summary = self.leaf_summary(v);
             if v < self.clusters.len() {
                 self.clusters[v] = Cluster::new_leaf(summary);
+                self.parents[v] = NIL32;
             } else {
                 debug_assert_eq!(self.clusters.len(), v);
                 self.clusters.push(Cluster::new_leaf(summary));
+                self.parents.push(NIL32);
             }
         }
     }
@@ -557,11 +576,12 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         // a dirty-list entry names the old id and does not follow the move:
         // the cluster must be queued afresh under `to`
         cluster.queued = false;
-        if cluster.parent != NIL32 {
-            self.clusters[cluster.parent].children[cluster.slot as usize] = to;
+        let parent = std::mem::replace(&mut self.parents[from], NIL32);
+        if parent != NIL32 {
+            self.clusters[parent].children[cluster.slot as usize] = to;
         }
         for &ch in &cluster.children {
-            self.clusters[ch].parent = to;
+            self.parents[ch] = to;
         }
         for e in &cluster.neighbors {
             for m in self.clusters[e.neighbor].neighbors.iter_mut() {
@@ -576,6 +596,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             }
         }
         self.clusters.push(cluster);
+        self.parents.push(parent);
         // the next settle re-enters it into its parent's fold block under
         // the new id
         self.mark_dirty(to);
@@ -647,8 +668,8 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// The topmost cluster of the tree containing `v`.
     pub fn top_cluster(&self, v: Vertex) -> ClusterId {
         let mut c = narrow(v);
-        while self.clusters[c].parent != NIL32 {
-            c = self.clusters[c].parent;
+        while self.parents[c] != NIL32 {
+            c = self.parents[c];
         }
         c as usize
     }
@@ -658,12 +679,31 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         u == v || self.top_cluster(u) == self.top_cluster(v)
     }
 
+    /// Writes one component label per vertex into `out`: dense ids counted
+    /// up from 0 in order of first appearance by vertex id, so every label
+    /// is below [`len`](Self::len).  One walk up the parent array per
+    /// vertex, with the labels handed out kept in a table indexed by top
+    /// cluster id.
+    pub fn component_labels(&self, out: &mut Vec<usize>) {
+        let mut label = vec![NIL32; self.clusters.len()];
+        let mut next = 0;
+        out.clear();
+        out.extend((0..self.len()).map(|v| {
+            let top = self.top_cluster(v);
+            if label[top] == NIL32 {
+                label[top] = next;
+                next += 1;
+            }
+            label[top] as usize
+        }));
+    }
+
     /// Height of the hierarchy above `v` (number of ancestor levels).
     pub fn height(&self, v: Vertex) -> usize {
         let mut c = narrow(v);
         let mut h = 0;
-        while self.clusters[c].parent != NIL32 {
-            c = self.clusters[c].parent;
+        while self.parents[c] != NIL32 {
+            c = self.parents[c];
             h += 1;
         }
         h
@@ -695,12 +735,13 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     }
 
     /// Heap bytes owned by the hierarchy: the cluster slab with every
-    /// cluster's adjacency and child buffers, the vertex arrays, the
-    /// freelist and the fold-tree side table.  The work queues (`dirty`,
-    /// `pending`) and the settle and recluster scratch buffers are not
-    /// counted.
+    /// cluster's adjacency and child buffers, the parent array beside it,
+    /// the vertex arrays, the freelist and the fold-tree side table.  The
+    /// work queues (`dirty`, `pending`) and the settle and recluster scratch
+    /// buffers are not counted.
     pub fn memory_bytes(&self) -> usize {
         let mut bytes = self.clusters.capacity() * std::mem::size_of::<Cluster<M>>()
+            + self.parents.capacity() * std::mem::size_of::<u32>()
             + self.weights.capacity() * std::mem::size_of::<M::Weight>()
             + self.phantom.capacity()
             + self.marked.capacity()
@@ -726,10 +767,10 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         let (u, v) = (narrow(u), narrow(v));
         self.delete_ancestors(u);
         self.delete_ancestors(v);
-        if self.clusters[u].parent == NIL32 {
+        if self.parents[u] == NIL32 {
             self.push_pending(u);
         }
-        if self.clusters[v].parent == NIL32 {
+        if self.parents[v] == NIL32 {
             self.push_pending(v);
         }
         self.apply_edge_all_levels(u, v, delete);
@@ -744,18 +785,16 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     fn delete_ancestors(&mut self, c0: u32) {
         let mut prev = c0;
         let mut prev_deleted = false;
-        let mut curr = self.clusters[c0].parent;
+        let mut curr = self.parents[c0];
         while curr != NIL32 {
-            let next = self.clusters[curr].parent;
+            let next = self.parents[curr];
             let deletable = self.deletable(curr);
             if deletable {
                 self.delete_cluster(curr);
                 prev_deleted = true;
             } else {
-                if !prev_deleted
-                    && self.clusters[prev].alive
-                    && self.clusters[prev].parent == curr
-                    && self.clusters[prev].degree() <= 2
+                // a freed `prev` has no parent, so a match means it is live
+                if !prev_deleted && self.parents[prev] == curr && self.clusters[prev].degree() <= 2
                 {
                     self.disconnect_child(prev, curr);
                 }
@@ -778,7 +817,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// ancestors at higher levels), and the slot is freed.
     fn delete_cluster(&mut self, c: u32) {
         debug_assert!(self.clusters[c].alive && self.clusters[c].level > 0);
-        let parent = self.clusters[c].parent;
+        let parent = self.parents[c];
         // `c`'s own list is cleared below; the loop only edits other lists
         let mut entries = std::mem::take(&mut self.clusters[c].neighbors);
         for e in &entries {
@@ -787,7 +826,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             // the vertices of `c` leave every surviving ancestor, so the edge
             // must disappear from the levels above as well
             if parent != NIL32 {
-                let qp = self.clusters[e.neighbor].parent;
+                let qp = self.parents[e.neighbor];
                 self.remove_edge_upward(parent, qp, e.my_end, e.other_end);
             }
         }
@@ -796,7 +835,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             self.folds.remove(&c);
         }
         for &y in &children {
-            self.clusters[y].parent = NIL32;
+            self.parents[y] = NIL32;
             self.push_pending(y);
             self.mark_dirty(y);
         }
@@ -807,9 +846,9 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         // the freed slot keeps both buffers for its next tenant
         entries.clear();
         children.clear();
+        debug_assert_eq!(self.parents[c], NIL32, "a freed slot has no parent");
         let cl = &mut self.clusters[c];
         cl.alive = false;
-        cl.parent = NIL32;
         cl.neighbors = entries;
         cl.children = children;
         self.free.push(c);
@@ -818,7 +857,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// Removes `child` from its parent's child list in O(1): the last child
     /// moves into the vacated slot, and both slots' fold blocks go stale.
     fn detach_child(&mut self, child: u32) {
-        let parent = self.clusters[child].parent;
+        let parent = self.parents[child];
         let slot = self.clusters[child].slot;
         let kids = &mut self.clusters[parent].children;
         kids.swap_remove(slot as usize);
@@ -827,7 +866,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             let moved = kids[slot as usize];
             self.clusters[moved].slot = slot;
         }
-        self.clusters[child].parent = NIL32;
+        self.parents[child] = NIL32;
         if self.clusters[parent].children.len() == B {
             // dropped to `B` children: folded directly from now on
             self.folds.remove(&parent);
@@ -857,7 +896,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         let internal = self.clusters[child]
             .neighbors
             .iter()
-            .filter(|e| self.clusters[e.neighbor].parent == parent)
+            .filter(|e| self.parents[e.neighbor] == parent)
             .count();
         if self.clusters[parent].fanout() >= 3 && internal >= 2 {
             // `child` is the hub; removing it would shatter the parent.
@@ -873,7 +912,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         // level, so its list is stable).
         for i in 0..self.clusters[child].neighbors.len() {
             let e = self.clusters[child].neighbors[i];
-            let qp = self.clusters[e.neighbor].parent;
+            let qp = self.parents[e.neighbor];
             self.remove_edge_upward(parent, qp, e.my_end, e.other_end);
         }
     }
@@ -889,8 +928,8 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             self.remove_adj(pb, b, a);
             self.mark_dirty(pa);
             self.mark_dirty(pb);
-            pa = self.clusters[pa].parent;
-            pb = self.clusters[pb].parent;
+            pa = self.parents[pa];
+            pb = self.parents[pb];
         }
     }
 
@@ -902,8 +941,8 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             self.add_adj(pb, pa, b, a);
             self.mark_dirty(pa);
             self.mark_dirty(pb);
-            pa = self.clusters[pa].parent;
-            pb = self.clusters[pb].parent;
+            pa = self.parents[pa];
+            pb = self.parents[pb];
         }
     }
 
@@ -924,8 +963,8 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             }
             self.mark_dirty(au);
             self.mark_dirty(av);
-            au = self.clusters[au].parent;
-            av = self.clusters[av].parent;
+            au = self.parents[au];
+            av = self.parents[av];
         }
     }
 
@@ -962,7 +1001,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         // A parentless cluster that gains an edge stops being a finished
         // tree top: it must take part in the coming reclustering rounds, or
         // its tree would never merge with the edge's other side.
-        if self.clusters[c].parent == NIL32 {
+        if self.parents[c] == NIL32 {
             self.push_pending(c);
         }
     }
@@ -1048,10 +1087,10 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
                     if !self.clusters[y].alive || self.clusters[y].degree() != 1 {
                         continue;
                     }
-                    if self.clusters[y].parent != NIL32 {
+                    if self.parents[y] != NIL32 {
                         self.delete_ancestors(y);
                     }
-                    if self.clusters[y].parent == NIL32 {
+                    if self.parents[y] == NIL32 {
                         self.attach_child(y, p);
                     }
                 }
@@ -1085,9 +1124,9 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
                         && !self.merges(y)
                 });
             match partner {
-                Some(y) if self.clusters[y].parent != NIL32 => {
+                Some(y) if self.parents[y] != NIL32 => {
                     // y sits alone under a copy parent: join it there
-                    let yp = self.clusters[y].parent;
+                    let yp = self.parents[y];
                     self.delete_ancestors(yp);
                     self.attach_to_existing(x, yp);
                 }
@@ -1117,25 +1156,23 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             } else {
                 0
             };
-            if self.clusters[y].alive && self.clusters[y].parent != NIL32 && !self.merges(y) {
-                let yp = self.clusters[y].parent;
+            if self.clusters[y].alive && self.parents[y] != NIL32 && !self.merges(y) {
+                let yp = self.parents[y];
                 self.delete_ancestors(yp);
                 self.attach_to_existing(x, yp);
             } else if self.clusters[y].alive
-                && self.clusters[y].parent != NIL32
+                && self.parents[y] != NIL32
                 && dy >= 3
                 && self.policy == Policy::Ufo
             {
                 // y is a high-degree cluster already merged into its star
                 // parent: x joins that star.  Phase A attached y first, so
                 // it is the hub at slot 0.
-                let yp = self.clusters[y].parent;
+                let yp = self.parents[y];
                 self.delete_ancestors(yp);
                 debug_assert_eq!(self.clusters[y].slot, 0, "a star's hub sits at slot 0");
                 self.attach_to_existing(x, yp);
-            } else if self.clusters[y].alive
-                && self.clusters[y].parent == NIL32
-                && self.pair_allowed(1, dy)
+            } else if self.clusters[y].alive && self.parents[y] == NIL32 && self.pair_allowed(1, dy)
             {
                 let p = self.new_cluster(level as u32 + 1);
                 self.attach_child(x, p);
@@ -1165,7 +1202,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
 
     fn is_unparented_root(&self, c: u32, level: usize) -> bool {
         self.clusters[c].alive
-            && self.clusters[c].parent == NIL32
+            && self.parents[c] == NIL32
             && self.clusters[c].level as usize == level
     }
 
@@ -1181,7 +1218,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// Whether `y` already participates in a genuine merge (its parent has
     /// more than one child).
     fn merges(&self, y: u32) -> bool {
-        let p = self.clusters[y].parent;
+        let p = self.parents[y];
         p != NIL32 && self.clusters[p].fanout() >= 2
     }
 
@@ -1190,10 +1227,15 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// [`delete_cluster`](Self::delete_cluster) left there.  `queued` is
     /// kept: a slot freed mid-update may still sit on the dirty list.
     fn new_cluster(&mut self, level: u32) -> u32 {
+        assert!(
+            level < u32::from(u16::MAX),
+            "cluster level {level} exceeds u16 storage"
+        );
+        let level = level as u16;
         if let Some(id) = self.free.pop() {
+            debug_assert_eq!(self.parents[id], NIL32, "a freed slot has no parent");
             let cl = &mut self.clusters[id];
             debug_assert!(!cl.alive && cl.neighbors.is_empty() && cl.children.is_empty());
-            cl.parent = NIL32;
             cl.level = level;
             cl.alive = true;
             cl.slot = 0;
@@ -1203,19 +1245,20 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             let id = slab_id(self.clusters.len());
             self.clusters
                 .push(Cluster::unlinked(level, true, Summary::empty()));
+            self.parents.push(NIL32);
             id
         }
     }
 
     fn attach_child(&mut self, child: u32, parent: u32) {
-        debug_assert_eq!(self.clusters[child].parent, NIL32);
+        debug_assert_eq!(self.parents[child], NIL32);
         debug_assert_eq!(
             self.clusters[child].level + 1,
             self.clusters[parent].level,
             "level mismatch while attaching"
         );
         let slot = self.clusters[parent].children.len() as u32;
-        self.clusters[child].parent = parent;
+        self.parents[child] = parent;
         self.clusters[child].slot = slot;
         self.clusters[parent].children.push(child);
         self.touch_slot(parent, slot);
@@ -1231,7 +1274,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         // the edges go in at `p`'s level and above, so `x`'s list is stable
         for i in 0..self.clusters[x].neighbors.len() {
             let e = self.clusters[x].neighbors[i];
-            let qp = self.clusters[e.neighbor].parent;
+            let qp = self.parents[e.neighbor];
             if qp == p || qp == NIL32 {
                 continue;
             }
@@ -1250,10 +1293,8 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             let c = self.clusters[p].children[k];
             for i in 0..self.clusters[c].neighbors.len() {
                 let e = self.clusters[c].neighbors[i];
-                if !self.clusters[e.neighbor].alive {
-                    continue;
-                }
-                let qp = self.clusters[e.neighbor].parent;
+                // a freed neighbour has no parent, so it is skipped here
+                let qp = self.parents[e.neighbor];
                 if qp == p || qp == NIL32 {
                     continue;
                 }
@@ -1324,7 +1365,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
                 let cl = &mut self.clusters[c];
                 cl.summary = s;
                 cl.queued = false;
-                let (parent, slot) = (cl.parent, cl.slot);
+                let (parent, slot) = (self.parents[c], cl.slot);
                 if parent != NIL32 {
                     self.touch_slot(parent, slot);
                     let pc = &mut self.clusters[parent];
@@ -1542,13 +1583,13 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         let child = if children.len() == 2 {
             children[1]
         } else {
-            let level = self.clusters[c].level - 1;
+            let level = u32::from(self.clusters[c].level) - 1;
             narrow(
                 self.ancestor_at_level(b as usize, level)
                     .expect("parent boundary must lie in a child"),
             )
         };
-        debug_assert_eq!(self.clusters[child].parent, c);
+        debug_assert_eq!(self.parents[child], c);
         let cl = &self.clusters[child];
         let e = cl
             .neighbors
@@ -1665,6 +1706,19 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
                 return Err(format!("freelist slot {} is live or holds entries", id));
             }
         }
+        // the parent array covers the slab, and a dead slot has no parent
+        if self.parents.len() != self.clusters.len() {
+            return Err(format!(
+                "parent array holds {} entries for {} slab slots",
+                self.parents.len(),
+                self.clusters.len()
+            ));
+        }
+        if let Some(id) = (0..self.clusters.len())
+            .find(|&id| !self.clusters[id].alive && self.parents[id] != NIL32)
+        {
+            return Err(format!("dead slot {} still has a parent", id));
+        }
         // 1. leaf adjacency is symmetric and defines a forest
         let mut dsu = vec![usize::MAX; n];
         fn find(dsu: &mut Vec<usize>, x: usize) -> usize {
@@ -1702,8 +1756,9 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             if !c.alive {
                 continue;
             }
-            if c.parent != NIL32 {
-                let p = &self.clusters[c.parent];
+            let parent = self.parents[id];
+            if parent != NIL32 {
+                let p = &self.clusters[parent];
                 if !p.alive {
                     return Err(format!("cluster {} has dead parent", id));
                 }
@@ -1718,7 +1773,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
                 }
             }
             for &ch in &c.children {
-                if !self.clusters[ch].alive || self.clusters[ch].parent != narrow(id) {
+                if !self.clusters[ch].alive || self.parents[ch] != narrow(id) {
                     return Err(format!("child {} of {} inconsistent", ch, id));
                 }
             }
@@ -1814,7 +1869,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
                             a, b, self.clusters[ca].level, ca, cb
                         ));
                     }
-                    let (pa, pb) = (self.clusters[ca].parent, self.clusters[cb].parent);
+                    let (pa, pb) = (self.parents[ca], self.parents[cb]);
                     if pa == NIL32 || pb == NIL32 {
                         if pa != pb {
                             return Err(format!(
@@ -1848,13 +1903,13 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
                     ));
                 }
                 // my_end must be contained in this cluster, other_end in the neighbour
-                if self.ancestor_at_level(e.my_end as usize, cl.level) != Some(id) {
+                if self.ancestor_at_level(e.my_end as usize, cl.level.into()) != Some(id) {
                     return Err(format!(
                         "cluster {} lists edge endpoint {} it does not contain",
                         id, e.my_end
                     ));
                 }
-                if self.ancestor_at_level(e.other_end as usize, cl.level)
+                if self.ancestor_at_level(e.other_end as usize, cl.level.into())
                     != Some(e.neighbor as usize)
                 {
                     return Err(format!(
@@ -1867,30 +1922,26 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         Ok(())
     }
 
-    /// The ancestor of leaf `v` at `level`, if the chain reaches it.
+    /// The ancestor of leaf `v` at `level`, if the chain reaches it.  Leaves
+    /// sit at level 0 and every parent one level up, so that ancestor is
+    /// `level` steps up the parent array.
     pub fn ancestor_at_level(&self, v: Vertex, level: u32) -> Option<ClusterId> {
         let mut c = narrow(v);
-        loop {
-            if self.clusters[c].level == level {
-                return Some(c as usize);
-            }
-            if self.clusters[c].level > level {
+        for _ in 0..level {
+            c = self.parents[c];
+            if c == NIL32 {
                 return None;
             }
-            let p = self.clusters[c].parent;
-            if p == NIL32 {
-                return None;
-            }
-            c = p;
         }
+        Some(c as usize)
     }
 
     /// The chain of ancestors of `v` from the leaf to the top, inclusive.
     pub fn ancestor_chain(&self, v: Vertex) -> Vec<ClusterId> {
         let mut out = vec![v];
         let mut c = narrow(v);
-        while self.clusters[c].parent != NIL32 {
-            c = self.clusters[c].parent;
+        while self.parents[c] != NIL32 {
+            c = self.parents[c];
             out.push(c as usize);
         }
         out
@@ -1919,10 +1970,13 @@ mod tests {
         assert_eq!(std::mem::size_of::<AdjEntry>(), 12);
     }
 
-    /// The `slot` back-pointer lives in the cluster's former padding.
+    /// The `slot` back-pointer lives in the cluster's padding, and with the
+    /// parent pointer moved to the dense array and the level narrowed to
+    /// 16 bits the cluster sheds 8 bytes, so the 4-byte parent entry costs
+    /// nothing net.
     #[test]
-    fn cluster_is_208_bytes() {
-        assert_eq!(std::mem::size_of::<Cluster<SumMinMax>>(), 208);
+    fn cluster_is_200_bytes() {
+        assert_eq!(std::mem::size_of::<Cluster<SumMinMax>>(), 200);
     }
 
     /// Slab ids stop one short of the `NIL32` sentinel in every build.
@@ -2104,9 +2158,13 @@ mod tests {
             assert!(!f.clusters[id].alive, "freelist slot {id} is alive");
         }
         // And every live cluster's links point at live clusters only.
-        for c in f.clusters.iter().filter(|c| c.alive) {
-            if c.parent != NIL32 {
-                assert!(f.clusters[c.parent].alive);
+        for (c, &parent) in f.clusters.iter().zip(f.parents.iter()) {
+            if !c.alive {
+                assert_eq!(parent, NIL32, "a dead slot has a parent");
+                continue;
+            }
+            if parent != NIL32 {
+                assert!(f.clusters[parent].alive);
             }
             for &ch in &c.children {
                 assert!(f.clusters[ch].alive);

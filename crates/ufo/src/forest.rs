@@ -514,6 +514,10 @@ mod tests {
         f.ensure_vertices(9);
         f.engine().check_invariants().unwrap();
         assert_eq!(f.len(), 9);
+        // the relocated clusters' parent entries lead the export's walks
+        let mut labels = Vec::new();
+        f.engine().component_labels(&mut labels);
+        assert_eq!(labels, [0, 0, 0, 0, 1, 2, 3, 4, 5]);
         assert!(f.connected(0, 3), "old path survives growth");
         assert!(!f.connected(0, 7), "new vertices start isolated");
         assert_eq!(f.path_sum(0, 3), Some(10 + 11 + 12 + 13));

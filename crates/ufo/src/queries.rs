@@ -151,7 +151,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             if bset.is_empty() {
                 break;
             }
-            let p = self.clusters[x].parent;
+            let p = self.parents[x];
             if p == NIL32 {
                 break;
             }
@@ -448,12 +448,13 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         }
     }
 
-    /// Internal (sibling) edges of `c` within its parent `p`.
+    /// Internal (sibling) edges of `c` within its parent `p`.  A freed slot
+    /// has no parent, so a neighbour whose parent is `p` is live.
     fn internal_edges(&self, c: u32, p: u32) -> Vec<AdjEntry> {
         self.clusters[c]
             .neighbors
             .iter()
-            .filter(|e| self.clusters[e.neighbor].alive && self.clusters[e.neighbor].parent == p)
+            .filter(|e| self.parents[e.neighbor] == p)
             .copied()
             .collect()
     }

@@ -243,6 +243,41 @@ fn skipped_deletes_count_identically_on_bulk_and_singleton_paths() {
     assert_eq!(g.num_edges(), 0);
 }
 
+/// The UFO backend exports component labels from walks up its parent
+/// array; the link-cut backend declines, so its engine labels components by
+/// BFS over its own tree adjacency.  Both must publish the same canonical
+/// labels after every batch of seeded fuzz traces whose mid-stream
+/// `AddVertices` ops land on ids held by internal UFO clusters, so growth
+/// relocates those clusters and rewrites their parent entries.
+#[test]
+fn ufo_component_export_matches_bfs_labels_through_growth() {
+    use ufo_trees::workloads::FuzzTraceGen;
+    let mut growth_batches = 0;
+    for seed in [3u64, 0x9e37, 0xfeed_beef] {
+        let mut ufo: DynConnectivity<UfoForest> = DynConnectivity::new(0);
+        let mut bfs: DynConnectivity<LinkCutForest> = DynConnectivity::new(0);
+        let (mut ufo_labels, mut bfs_labels) = (Vec::new(), Vec::new());
+        for (i, batch) in FuzzTraceGen::new(seed)
+            .with_ops(3_000)
+            .batches(64)
+            .iter()
+            .enumerate()
+        {
+            let grows = batch.iter().any(|op| matches!(op, GraphOp::AddVertices(_)));
+            if i > 0 && grows {
+                growth_batches += 1;
+            }
+            ufo.apply(batch);
+            bfs.apply(batch);
+            ufo.export_component_labels(&mut ufo_labels);
+            bfs.export_component_labels(&mut bfs_labels);
+            assert_eq!(ufo_labels, bfs_labels, "seed {seed:#x}, batch {i}");
+        }
+        ufo.check_invariants().unwrap();
+    }
+    assert!(growth_batches > 0, "the traces never grew mid-stream");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
