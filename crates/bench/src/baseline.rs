@@ -575,6 +575,11 @@ pub struct GateReport {
     pub min_ratio: f64,
     /// Baseline rows the fresh measurement did not reproduce at all.
     pub missing: Vec<String>,
+    /// Lower-is-better (memory) cells whose fresh value differs from the
+    /// recorded one at the recorded precision, as `(label, recorded,
+    /// measured)`.  These cells are deterministic, so any entry here means
+    /// the recorded file no longer matches the code, even inside tolerance.
+    pub drifted: Vec<(String, f64, f64)>,
 }
 
 impl GateReport {
@@ -605,6 +610,7 @@ pub fn compare(recorded: &Baseline, measured: &Baseline) -> GateReport {
     };
     let mut ratios = Vec::new();
     let mut missing = Vec::new();
+    let mut drifted = Vec::new();
     for old in &recorded.results {
         let Some(new) = measured.results.iter().find(|r| key(r) == key(old)) else {
             missing.push(old.id_string());
@@ -615,13 +621,18 @@ pub fn compare(recorded: &Baseline, measured: &Baseline) -> GateReport {
                 missing.push(format!("{} {metric}", old.id_string()));
                 continue;
             };
+            let label = format!("{} {metric}", old.id_string());
+            // compare as the JSON stores them (`{:.0}`)
+            if lower_is_better(metric) && format!("{old_v:.0}") != format!("{new_v:.0}") {
+                drifted.push((label.clone(), *old_v, *new_v));
+            }
             if *old_v > 0.0 && *new_v > 0.0 {
                 let ratio = if lower_is_better(metric) {
                     old_v / new_v
                 } else {
                     new_v / old_v
                 };
-                ratios.push((format!("{} {metric}", old.id_string()), ratio));
+                ratios.push((label, ratio));
             }
         }
     }
@@ -637,6 +648,7 @@ pub fn compare(recorded: &Baseline, measured: &Baseline) -> GateReport {
             1.0
         },
         missing,
+        drifted,
     }
 }
 
@@ -762,6 +774,15 @@ mod tests {
         assert!(report.min_ratio < 1.0, "growth must read as a regression");
         assert!(report.passes_every_cell(0.15));
         assert!(!report.passes_every_cell(0.05));
+        assert_eq!(report.drifted.len(), 1, "a moved cell is listed");
+
+        // a sub-byte move that rounds to the recorded value is no drift
+        measured.results[0].metrics[0].1 = 512.4;
+        assert!(compare(&mem, &measured).drifted.is_empty());
+        measured.results[0].metrics[0].1 = 511.4;
+        let report = compare(&mem, &measured);
+        assert!(report.passes_every_cell(0.0));
+        assert_eq!(report.drifted.len(), 1, "an improvement is listed too");
 
         // fewer bytes per edge is an improvement, never a failure
         measured.results[0].metrics[0].1 = 256.0;

@@ -17,6 +17,9 @@
 //! deterministic for a fixed trace (no timing is involved), so instead of
 //! the median rule **every cell** must stay within the (much tighter)
 //! memory tolerance, and the ratio is inverted — memory improves downwards.
+//! Every memory cell that differs from the recorded value at all is printed
+//! (pass or fail), so a stale recording shows up before it hides a real
+//! regression inside the tolerance.
 //!
 //! Environment knobs (each must be a fraction in `[0, 1)`; anything else
 //! panics rather than silently gating at the default):
@@ -72,6 +75,9 @@ fn main() {
         );
         for missing in &report.missing {
             println!("     missing row: {missing}");
+        }
+        for (label, old, new) in &report.drifted {
+            println!("     moved: {old:.0} -> {new:.0}  {label}");
         }
         // the worst cells are what a human (or trajectory review) reads
         // first, so print them on success too

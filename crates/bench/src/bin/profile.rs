@@ -15,7 +15,7 @@
 //! `--rebuild-threshold P` (arms the rebuild escape hatch at P percent),
 //! `--seed/--ops/--vertices/--delete-heavy` (fuzz traces only), and
 //! `--check`, which verifies the snapshot JSON round-trips, the delete-walk
-//! sub-phases (`search_fan_out`, `rebuild`) parse with the right parent,
+//! sub-phase `rebuild` parses with the right parent,
 //! phase times nest (children ≤ parent, apply ≤ wall) and — for
 //! delete-heavy traces — that ≥ 90% of wall time is attributed to named
 //! phases; any violation exits 1.
@@ -211,19 +211,17 @@ mod telemetry_main {
             }
             Err(e) => bad.push(format!("{}: JSON does not parse: {e}", run.backend)),
         }
-        // 1b. the schema carries the delete-walk sub-phases end to end: the
-        //     fan-out and rebuild phases must survive the JSON round-trip
-        //     (they are zero-entered on hatch-off runs, but never absent)
-        for phase in ["search_fan_out", "rebuild"] {
-            let round_tripped = TelemetrySnapshot::parse(&run.snapshot.to_json())
-                .ok()
-                .and_then(|s| s.phase(phase).map(|p| p.parent == Some("delete_walk")));
-            if round_tripped != Some(true) {
-                bad.push(format!(
-                    "{}: phase {phase} missing or misparented after JSON round-trip",
-                    run.backend
-                ));
-            }
+        // 1b. the schema carries the delete-walk sub-phase end to end: the
+        //     rebuild phase must survive the JSON round-trip (it is
+        //     zero-entered on hatch-off runs, but never absent)
+        let round_tripped = TelemetrySnapshot::parse(&run.snapshot.to_json())
+            .ok()
+            .and_then(|s| s.phase("rebuild").map(|p| p.parent == Some("delete_walk")));
+        if round_tripped != Some(true) {
+            bad.push(format!(
+                "{}: phase rebuild missing or misparented after JSON round-trip",
+                run.backend
+            ));
         }
         // 2. phase times nest: children sum to ≤ the parent (5% slack for
         //    timer overhead), and the root phase fits inside the wall time

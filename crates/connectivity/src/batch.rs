@@ -25,7 +25,7 @@ use rayon::prelude::*;
 
 use crate::backend::SpanningBackend;
 use crate::engine::DynConnectivity;
-use crate::search::{canonical, search_replacement, OverlayAdj, OverlayDiffs, SearchScratch};
+use crate::search::canonical;
 use crate::Vertex;
 
 /// The [`GraphOp`] type a `DynConnectivity<B>` engine accepts: weights are
@@ -54,8 +54,8 @@ pub enum DeleteClass {
 }
 
 /// One pre-batch forest component's worth of certified deletions from a
-/// delete run: the unit of independence for the search fan-out and the
-/// rebuild escape hatch (DESIGN.md §10).
+/// delete run: the unit the rebuild escape hatch takes wholesale
+/// (DESIGN.md §10).
 struct DeleteGroup {
     /// Canonical DSU root of the pre-batch component.
     root: Vertex,
@@ -65,34 +65,16 @@ struct DeleteGroup {
     tree_dels: usize,
     /// Vertex count of the pre-batch component.
     comp_size: usize,
-    /// Whether the rebuild hatch takes this group wholesale.
-    rebuild: bool,
 }
 
-/// The component partition of one delete run, plus the DSU that certified
-/// it (the rebuild path reuses it to attribute surviving registry edges to
-/// their component).
+/// The components of one delete run the rebuild hatch takes, plus the DSU
+/// that certified the partition (the rebuild reuses it to attribute
+/// surviving registry edges to their component).
 struct DeletePlan {
-    /// Retained groups in canonical (first run index) order.
+    /// The hatch's groups in canonical (first run index) order.
     groups: Vec<DeleteGroup>,
     /// Union-find over the endpoints of every pre-batch tree edge.
     dsu: SparseDsu,
-    /// Whether the non-rebuild groups fan out over the pool (≥ 2 searcher
-    /// groups on a multi-thread config).
-    fan_out: bool,
-}
-
-/// What one fanned-out search group produced on a pool worker, ready to
-/// install wholesale in canonical group order.
-struct GroupRun {
-    /// `(run index, outcome)` per certified deletion, in run order.
-    outcomes: Vec<(usize, OpOutcome)>,
-    /// Touched vertex states and edge-registry deltas from the overlay.
-    diffs: OverlayDiffs,
-    /// Backend mutations in op order: `(is_link, u, v)`.
-    backend_ops: Vec<(bool, Vertex, Vertex)>,
-    /// Component splits the group's deletions caused.
-    splits: usize,
 }
 
 impl<B: SpanningBackend> DynConnectivity<B> {
@@ -193,15 +175,12 @@ impl<B: SpanningBackend> DynConnectivity<B> {
     ) {
         let classes = self.classify_delete_pairs(pairs, chunks);
         let _walk_span = self.telemetry().span(Phase::DeleteWalk);
-        // Component grouping: certified deletions in distinct pre-batch
-        // forest components are independent.  Groups taken by the rebuild
-        // hatch or the search fan-out land their outcomes in `slots`; the
-        // sequential walk below records them in run order and handles
-        // everything else exactly as before.
+        // Components taken by the rebuild hatch land their outcomes in
+        // `slots`; the sequential walk below records them in run order and
+        // handles everything else.
         let mut slots: Vec<Option<OpOutcome>> = vec![None; pairs.len()];
         if let Some(mut plan) = self.plan_delete_groups(pairs, &classes) {
             self.execute_rebuild_groups(pairs, &classes, &mut plan, &mut slots);
-            self.execute_search_groups(pairs, &classes, &plan, &mut slots);
         }
         // Certified non-tree removals of the current drain segment, in run
         // order; flushed (grouped, parallel) before any tree deletion runs.
@@ -258,14 +237,15 @@ impl<B: SpanningBackend> DynConnectivity<B> {
     }
 
     /// Partitions a classified delete run by pre-batch forest component and
-    /// decides, per component, between the rebuild hatch and the search
-    /// fan-out.  Returns `None` when nothing is worth grouping — the
-    /// sequential walk then handles every op, exactly as before.
+    /// keeps the components the rebuild hatch takes.  Returns `None` when
+    /// the hatch is off or takes nothing — the sequential walk then handles
+    /// every op.
     ///
     /// The independence certificate: a replacement search only ever reads
     /// and writes inside its deletion's pre-batch component, and certified
     /// deletions in *distinct* components therefore commute with each other
-    /// (DESIGN.md §10).  The partition comes from a sparse union-find over
+    /// (DESIGN.md §10), so a rebuilt component can be taken out of the walk
+    /// without changing what the walk does anywhere else.  The partition comes from a sparse union-find over
     /// the endpoints of every live tree edge — the spanning forest covers
     /// every component of size ≥ 2, and every certified deletion's endpoints
     /// carry at least one tree edge, so every grouped endpoint is a DSU key.
@@ -274,11 +254,8 @@ impl<B: SpanningBackend> DynConnectivity<B> {
         pairs: &[(Vertex, Vertex)],
         classes: &[DeleteClass],
     ) -> Option<DeletePlan> {
-        if !self.par.rebuild_enabled() && self.par.effective_threads() <= 1 {
-            return None;
-        }
-        if !classes.contains(&DeleteClass::Tree) {
-            // No searches to fan out and nothing the hatch could save.
+        if !self.par.rebuild_enabled() || !classes.contains(&DeleteClass::Tree) {
+            // Hatch off, or no searches for it to save.
             return None;
         }
         let mut dsu = SparseDsu::default();
@@ -308,35 +285,20 @@ impl<B: SpanningBackend> DynConnectivity<B> {
                     indices: Vec::new(),
                     tree_dels: 0,
                     comp_size: sizes.get(&root).copied().unwrap_or(0),
-                    rebuild: false,
                 });
                 groups.len() - 1
             });
             groups[gi].indices.push(i);
             groups[gi].tree_dels += usize::from(classes[i] == DeleteClass::Tree);
         }
-        for g in &mut groups {
-            g.rebuild = self.par.rebuild_worth(g.tree_dels, g.comp_size);
-        }
-        // Fan-out needs at least two searcher groups to overlap; a lone
-        // searcher group stays on the (cheaper) sequential walk.
-        let searchers = groups
-            .iter()
-            .filter(|g| !g.rebuild && g.tree_dels > 0)
-            .count();
-        let fan_out = searchers >= 2 && self.par.effective_threads() > 1;
-        groups.retain(|g| g.rebuild || (fan_out && g.tree_dels > 0));
+        groups.retain(|g| self.par.rebuild_worth(g.tree_dels, g.comp_size));
         if groups.is_empty() {
             return None;
         }
-        Some(DeletePlan {
-            groups,
-            dsu,
-            fan_out,
-        })
+        Some(DeletePlan { groups, dsu })
     }
 
-    /// Executes the rebuild-hatch groups of a delete plan: removes every
+    /// Executes the groups of a delete plan: removes every
     /// certified deletion wholesale, then rebuilds each component's spanning
     /// forest from the surviving registry edges with a sparse union-find
     /// (surviving non-tree edges are reset to level 0, which re-establishes
@@ -356,14 +318,11 @@ impl<B: SpanningBackend> DynConnectivity<B> {
         plan: &mut DeletePlan,
         slots: &mut [Option<OpOutcome>],
     ) {
-        if !plan.groups.iter().any(|g| g.rebuild) {
-            return;
-        }
         let _rebuild_span = self.telemetry().span(Phase::Rebuild);
-        // Remove every certified deletion of every rebuild group.  No
-        // searches run here, so no certificate can go stale: the registry
-        // still agrees with the pre-pass classes.
-        for g in plan.groups.iter().filter(|g| g.rebuild) {
+        // Remove every certified deletion of every group.  No searches run
+        // here, so no certificate can go stale: the registry still agrees
+        // with the pre-pass classes.
+        for g in &plan.groups {
             for &i in &g.indices {
                 let (u, v) = pairs[i];
                 let info = self
@@ -383,13 +342,13 @@ impl<B: SpanningBackend> DynConnectivity<B> {
             }
         }
         // One shared scan attributes every surviving registry edge to its
-        // rebuild group (survivors of other components are skipped).
-        let mut group_of_root: FxHashMap<Vertex, usize> = FxHashMap::default();
-        for (gi, g) in plan.groups.iter().enumerate() {
-            if g.rebuild {
-                group_of_root.insert(g.root, gi);
-            }
-        }
+        // group (survivors of other components are skipped).
+        let group_of_root: FxHashMap<Vertex, usize> = plan
+            .groups
+            .iter()
+            .enumerate()
+            .map(|(gi, g)| (g.root, gi))
+            .collect();
         let mut survivors: Vec<Vec<(Vertex, Vertex, usize, bool)>> =
             vec![Vec::new(); plan.groups.len()];
         for (&(a, b), info) in &self.edges {
@@ -398,9 +357,6 @@ impl<B: SpanningBackend> DynConnectivity<B> {
             }
         }
         for (gi, g) in plan.groups.iter().enumerate() {
-            if !g.rebuild {
-                continue;
-            }
             // Deterministic rebuild order regardless of registry hashing:
             // canonical (min, max) keys are unique, so the sort is total.
             let mut edges = std::mem::take(&mut survivors[gi]);
@@ -469,175 +425,6 @@ impl<B: SpanningBackend> DynConnectivity<B> {
             self.components += splits as usize;
             self.tel.add(Counter::ComponentSplits, splits);
             self.tel.incr(Counter::RebuildsTaken);
-        }
-    }
-
-    /// Fans the plan's searcher groups out over the pool: each worker runs
-    /// its groups' deletions — replacement searches included — against a
-    /// copy-on-touch [`OverlayAdj`] of the shared engine, with its own mark
-    /// array and scratch arena, and the finished diffs install sequentially
-    /// in canonical group order.  Because the groups live in distinct
-    /// pre-batch components, the installed state and every outcome are
-    /// byte-identical to the sequential walk at every fan-out width; the
-    /// workers share the engine's telemetry handle (counters only — no
-    /// phase spans, whose overlapping wall times would break the profile's
-    /// nesting), so the deterministic counters are also preserved exactly.
-    fn execute_search_groups(
-        &mut self,
-        pairs: &[(Vertex, Vertex)],
-        classes: &[DeleteClass],
-        plan: &DeletePlan,
-        slots: &mut [Option<OpOutcome>],
-    ) {
-        if !plan.fan_out {
-            return;
-        }
-        let _fan_span = self.telemetry().span(Phase::SearchFanOut);
-        let runs: Vec<GroupRun> = {
-            let searchers: Vec<&DeleteGroup> = plan.groups.iter().filter(|g| !g.rebuild).collect();
-            debug_assert!(searchers.len() >= 2, "fan-out planned for < 2 groups");
-            let workers = self.par.effective_threads().min(searchers.len());
-            let ranges = dyntree_primitives::chunk_ranges(searchers.len(), workers);
-            let n = self.len();
-            let this: &Self = self;
-            let parts: Vec<Vec<GroupRun>> = ranges
-                .par_iter()
-                .map(|&(lo, hi)| {
-                    let mut mark = vec![0u64; n];
-                    let mut stamp = 0u64;
-                    let mut scratch = SearchScratch::default();
-                    let mut out = Vec::with_capacity(hi - lo);
-                    for g in &searchers[lo..hi] {
-                        out.push(this.run_search_group(
-                            pairs,
-                            classes,
-                            g,
-                            &mut mark,
-                            &mut stamp,
-                            &mut scratch,
-                        ));
-                    }
-                    out
-                })
-                .collect();
-            parts.into_iter().flatten().collect()
-        };
-        // Install in canonical group order.  The groups touch disjoint
-        // vertices and edges, so any order yields the same state; canonical
-        // order keeps the backend's op sequence deterministic too.
-        for run in runs {
-            for (v, state) in run.diffs.vertices {
-                self.adj.set_vertex(v, state);
-            }
-            for (key, delta) in run.diffs.edges {
-                match delta {
-                    Some(info) => {
-                        self.edges.insert(key, info);
-                    }
-                    None => {
-                        self.edges.remove(&key);
-                    }
-                }
-            }
-            for (is_link, a, b) in run.backend_ops {
-                let ok = if is_link {
-                    self.backend.link(a, b)
-                } else {
-                    self.backend.cut(a, b)
-                };
-                debug_assert!(ok, "backend rejected fanned-out op ({a},{b})");
-            }
-            self.components += run.splits;
-            for (i, outcome) in run.outcomes {
-                slots[i] = Some(outcome);
-            }
-        }
-    }
-
-    /// Runs one searcher group's certified deletions, in run order, against
-    /// an overlay of the shared engine — the pool-worker body of
-    /// [`execute_search_groups`](Self::execute_search_groups).  Mirrors the
-    /// sequential walk's per-class logic exactly (drained non-tree removals,
-    /// stale-certificate detection via the group-local promoted set, full
-    /// replacement searches for tree deletions), so outcomes and counters
-    /// are byte-identical to running the same ops in place.
-    #[allow(clippy::too_many_arguments)]
-    fn run_search_group(
-        &self,
-        pairs: &[(Vertex, Vertex)],
-        classes: &[DeleteClass],
-        group: &DeleteGroup,
-        mark: &mut [u64],
-        stamp: &mut u64,
-        scratch: &mut SearchScratch,
-    ) -> GroupRun {
-        let mut overlay = OverlayAdj::new(&self.adj, &self.edges);
-        let mut outcomes = Vec::with_capacity(group.indices.len());
-        let mut backend_ops: Vec<(bool, Vertex, Vertex)> = Vec::new();
-        let mut promoted: FxHashSet<(Vertex, Vertex)> = FxHashSet::default();
-        let mut splits = 0usize;
-        let mut searches = 0u64;
-        for &i in &group.indices {
-            let (u, v) = pairs[i];
-            let outcome = match classes[i] {
-                DeleteClass::NonTree if !promoted.contains(&canonical(u, v)) => {
-                    self.tel.incr(Counter::DeleteNonTreeDrained);
-                    let info = overlay.remove_edge_record(u, v);
-                    debug_assert!(
-                        !info.tree,
-                        "certified non-tree edge ({u},{v}) is a tree edge"
-                    );
-                    overlay.nontree_remove(u, v, info.level);
-                    OpOutcome::EdgeDeleted {
-                        kind: EdgeKind::NonTree,
-                        split: false,
-                    }
-                }
-                class @ (DeleteClass::Tree | DeleteClass::NonTree) => {
-                    if class == DeleteClass::NonTree {
-                        self.tel.incr(Counter::DeleteCertificatesStale);
-                    }
-                    let info = overlay.remove_edge_record(u, v);
-                    debug_assert!(info.tree, "grouped tree delete of a non-tree edge");
-                    let removed = overlay.tree_remove(u, v);
-                    debug_assert_eq!(removed, Some(info.level));
-                    backend_ops.push((false, u, v));
-                    searches += 1;
-                    let promo = search_replacement(
-                        &mut overlay,
-                        mark,
-                        stamp,
-                        scratch,
-                        &self.tel,
-                        false,
-                        self.level_cap,
-                        u,
-                        v,
-                        info.level,
-                    );
-                    let split = promo.is_none();
-                    if let Some((x, y)) = promo {
-                        backend_ops.push((true, x, y));
-                        promoted.insert((x, y));
-                    } else {
-                        splits += 1;
-                        self.tel.incr(Counter::ComponentSplits);
-                    }
-                    OpOutcome::EdgeDeleted {
-                        kind: EdgeKind::Tree,
-                        split,
-                    }
-                }
-                _ => unreachable!("only certified deletions are grouped"),
-            };
-            outcomes.push((i, outcome));
-        }
-        self.tel.add(Counter::SearchesFannedOut, searches);
-        GroupRun {
-            outcomes,
-            diffs: overlay.into_diffs(),
-            backend_ops,
-            splits,
         }
     }
 

@@ -9,7 +9,7 @@ use dyntree_primitives::{Dsu, ParallelConfig, Telemetry};
 
 use crate::backend::SpanningBackend;
 use crate::levels::LevelAdjacency;
-use crate::search::{canonical, search_replacement, DirectAdj, EdgeInfo, SearchScratch};
+use crate::search::{canonical, search_replacement, EdgeInfo, SearchScratch};
 use crate::Vertex;
 
 /// Fully-dynamic connectivity over a growable vertex set `0..len()`.
@@ -468,25 +468,16 @@ impl<B: SpanningBackend> DynConnectivity<B> {
     /// Returns the (canonically oriented) non-tree edge that was promoted
     /// and linked as the replacement, or `None` when the component split.
     ///
-    /// The search core lives in [`crate::search`], generic over an adjacency
-    /// view; this sequential path drives it through the zero-cost
-    /// [`DirectAdj`] field-borrow split and applies the backend link itself
-    /// (the search never touches the backend — that is what lets the batch
-    /// layer run the same core against a copy-on-write overlay on pool
-    /// workers).
+    /// The search core lives in [`crate::search`] and edits the level
+    /// adjacency and the edge registry; the backend link is applied here.
     fn find_replacement(&mut self, u: Vertex, v: Vertex, l: usize) -> Option<(Vertex, Vertex)> {
-        let mut view = DirectAdj {
-            adj: &mut self.adj,
-            edges: &mut self.edges,
-            par: self.par,
-        };
         let promoted = search_replacement(
-            &mut view,
+            &mut self.adj,
+            &mut self.edges,
             &mut self.mark,
             &mut self.stamp,
             &mut self.scratch,
             &self.tel,
-            true,
             self.level_cap,
             u,
             v,

@@ -10,12 +10,8 @@
 //! The state is factored into one [`VertexAdj`] per vertex holding that
 //! vertex's **one-sided** view of its edges, with [`LevelAdjacency`]
 //! composing the two-sided operations out of per-endpoint primitives.  The
-//! split is load-bearing for the parallel replacement searches: a search
-//! running on a pool worker operates on copy-on-write clones of the touched
-//! vertices' `VertexAdj` entries (see `search::OverlayAdj`), going through
-//! the *same* primitive operations — so the overlay evolves byte-identically
-//! to what in-place mutation would have produced, and the finished clones
-//! can be swapped back in wholesale via [`LevelAdjacency::set_vertex`].
+//! replacement scan needs the one-sided forms: it drains a vertex's own
+//! bucket and re-files each drained edge's mirror separately.
 //!
 //! # Flat storage (DESIGN.md §12)
 //!
@@ -29,7 +25,7 @@
 //! measured — and the sorted arrays make the canonical iteration order the
 //! determinism contract depends on *structural*: neighbours at a level are
 //! always visited in ascending id order, identically on every code path
-//! (sequential walk, overlay clone, drain replay), at every thread count.
+//! (per-op walk, drain replay), at every thread count.
 //! Entries are `u32` pairs (8 bytes), not `usize` pairs: half the bytes per
 //! edge endpoint, twice the entries per cache line.
 #[cfg(test)]
@@ -48,7 +44,7 @@ fn narrow(x: usize) -> u32 {
 /// One vertex's adjacency state: its tree edges (neighbour-sorted array plus
 /// a level-bucketed mirror) and its non-tree edges bucketed by level.  Every
 /// operation here is **one-sided** — it maintains this endpoint's view only;
-/// [`LevelAdjacency`] (and the search overlay) compose the two-sided edits.
+/// [`LevelAdjacency`] composes the two-sided edits.
 ///
 /// The arrays are kept sorted **deliberately**: the replacement search
 /// iterates them, and the iteration order decides which replacement edge is
@@ -239,13 +235,6 @@ impl VertexAdj {
             .splice(lo..hi, neighbors.iter().map(|&w| (level, narrow(w))));
     }
 
-    /// Whether the level-`level` non-tree bucket is empty.
-    pub fn nontree_bucket_is_empty(&self, level: usize) -> bool {
-        let level = narrow(level);
-        let pos = level_start(&self.nontree, level);
-        self.nontree.get(pos).is_none_or(|&(l, _)| l != level)
-    }
-
     /// Snapshot of the level-`level` non-tree neighbours, ascending.
     pub fn nontree_neighbors_at(&self, level: usize) -> Vec<usize> {
         let level = narrow(level);
@@ -317,17 +306,9 @@ impl LevelAdjacency {
         self.verts.is_empty()
     }
 
-    /// Shared access to one vertex's adjacency state (the search overlay
-    /// reads un-touched vertices straight from here).
+    /// Shared access to one vertex's adjacency state.
     pub fn vertex(&self, v: usize) -> &VertexAdj {
         &self.verts[v]
-    }
-
-    /// Replaces one vertex's adjacency state wholesale — the bulk entry
-    /// point the parallel-search overlay and the rebuild escape hatch use to
-    /// install their finished per-vertex states.
-    pub fn set_vertex(&mut self, v: usize, state: VertexAdj) {
-        self.verts[v] = state;
     }
 
     /// Records tree edge `(u, v)` at `level`.
@@ -529,32 +510,6 @@ mod tests {
         adj.nontree_take_bucket(0, 1, &mut taken);
         assert_eq!(taken, vec![9, 2, 6], "the take appends to the buffer");
         assert_eq!(adj.nontree_neighbors_at(0, 0), vec![4]);
-    }
-
-    #[test]
-    fn vertex_state_swaps_wholesale_and_replays_identically() {
-        // The overlay contract: cloning a VertexAdj, mutating the clone with
-        // the same one-sided primitives, and swapping it back must equal
-        // in-place mutation.
-        let mut a = LevelAdjacency::new(3);
-        a.tree_insert(0, 1, 0);
-        a.nontree_insert(0, 2, 1);
-        let mut b = a.clone();
-        // in place
-        a.tree_set_level(0, 1, 2);
-        assert!(a.nontree_remove(0, 2, 1));
-        // via cloned vertex states
-        for v in 0..3 {
-            let mut s = b.vertex(v).clone();
-            if s.tree_level(if v == 0 { 1 } else { 0 }).is_some() && (v == 0 || v == 1) {
-                s.tree_set_level_one(if v == 0 { 1 } else { 0 }, 2);
-            }
-            s.nontree_remove_one(if v == 0 { 2 } else { 0 }, 1);
-            b.set_vertex(v, s);
-        }
-        for v in 0..3 {
-            assert_eq!(b.vertex(v), a.vertex(v), "vertex {v}");
-        }
     }
 
     #[test]

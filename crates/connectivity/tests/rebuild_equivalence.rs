@@ -248,8 +248,9 @@ fn rebuild_resets_survivor_levels_so_later_searches_find_them() {
 }
 
 /// The hatch path must itself be deterministic: byte-identical outcomes at
-/// every forced fan-out (rebuild groups always run on the driving thread;
-/// surviving searcher groups keep the byte-identity contract).
+/// every forced fan-out (rebuild groups run on the calling thread, and the
+/// components the hatch leaves to the walk keep the byte-identity
+/// contract).
 #[test]
 fn rebuild_runs_are_identical_across_fanouts() {
     let batches = FuzzTraceGen::new(0x0EBD_117D)

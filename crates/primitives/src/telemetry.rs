@@ -65,10 +65,6 @@ pub enum Counter {
     DeleteNonTreeDrained,
     /// Delete certificates invalidated by an earlier promotion in the batch.
     DeleteCertificatesStale,
-    /// Replacement searches executed on pool workers as part of an
-    /// independent-component fan-out (the canonical-order sequential walk
-    /// replays their logs, so this is batch machinery, not HDT structure).
-    SearchesFannedOut,
     /// Wholesale component rebuilds taken by the escape hatch instead of
     /// per-edge replacement searches.
     RebuildsTaken,
@@ -89,7 +85,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in canonical export order.
-    pub const ALL: [Counter; 21] = [
+    pub const ALL: [Counter; 20] = [
         Counter::ReplacementSearches,
         Counter::ReplacementEdgesScanned,
         Counter::ReplacementPromotions,
@@ -105,7 +101,6 @@ impl Counter {
         Counter::DeleteCertificatesIssued,
         Counter::DeleteNonTreeDrained,
         Counter::DeleteCertificatesStale,
-        Counter::SearchesFannedOut,
         Counter::RebuildsTaken,
         Counter::ScratchArenaReuses,
         Counter::SnapshotsPublished,
@@ -131,7 +126,6 @@ impl Counter {
             Counter::DeleteCertificatesIssued => "delete_certificates_issued",
             Counter::DeleteNonTreeDrained => "delete_nontree_drained",
             Counter::DeleteCertificatesStale => "delete_certificates_stale",
-            Counter::SearchesFannedOut => "searches_fanned_out",
             Counter::RebuildsTaken => "rebuilds_taken",
             Counter::ScratchArenaReuses => "scratch_arena_reuses",
             Counter::SnapshotsPublished => "snapshots_published",
@@ -163,9 +157,6 @@ pub enum Phase {
     ReplacementSearch,
     /// Smaller-side enumeration + tree-edge level bumps (inside the search).
     SmallerSide,
-    /// Parallel fan-out of independent-component replacement searches
-    /// (inside the delete walk; the canonical replay is charged here too).
-    SearchFanOut,
     /// Wholesale component rebuild taken by the escape hatch (inside the
     /// delete walk).
     Rebuild,
@@ -176,7 +167,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in canonical export order.
-    pub const ALL: [Phase; 11] = [
+    pub const ALL: [Phase; 10] = [
         Phase::Apply,
         Phase::InsertPrePass,
         Phase::InsertWalk,
@@ -185,7 +176,6 @@ impl Phase {
         Phase::NonTreeDrain,
         Phase::ReplacementSearch,
         Phase::SmallerSide,
-        Phase::SearchFanOut,
         Phase::Rebuild,
         Phase::SnapshotBuild,
     ];
@@ -201,7 +191,6 @@ impl Phase {
             Phase::NonTreeDrain => "nontree_drain",
             Phase::ReplacementSearch => "replacement_search",
             Phase::SmallerSide => "smaller_side",
-            Phase::SearchFanOut => "search_fan_out",
             Phase::Rebuild => "rebuild",
             Phase::SnapshotBuild => "snapshot_build",
         }
@@ -215,9 +204,10 @@ impl Phase {
             | Phase::InsertWalk
             | Phase::DeleteClassify
             | Phase::DeleteWalk => Some(Phase::Apply),
-            Phase::NonTreeDrain | Phase::ReplacementSearch => Some(Phase::DeleteWalk),
+            Phase::NonTreeDrain | Phase::ReplacementSearch | Phase::Rebuild => {
+                Some(Phase::DeleteWalk)
+            }
             Phase::SmallerSide => Some(Phase::ReplacementSearch),
-            Phase::SearchFanOut | Phase::Rebuild => Some(Phase::DeleteWalk),
             Phase::SnapshotBuild => Some(Phase::Apply),
         }
     }

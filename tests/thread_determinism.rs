@@ -7,9 +7,9 @@
 //!   `8`, so any thread-count-dependent divergence fails an entire CI leg;
 //! * this file varies the *effective* fan-out in-process via
 //!   [`ParallelConfig`] with grains forced low, so the chunked pre-passes
-//!   and the per-component search fan-out are exercised (and compared
-//!   against the sequential reference) on every machine, even when the
-//!   global pool has one thread.
+//!   and the grouped non-tree drain are exercised (and compared against
+//!   the sequential reference) on every machine, even when the global pool
+//!   has one thread.
 
 use dyntree_connectivity::{DynConnectivity, SpanningBackend};
 use dyntree_primitives::algebra::SumMinMax;
@@ -171,9 +171,9 @@ fn insert_burst_then_heavy_delete_traces_are_identical_across_fanouts() {
 }
 
 /// Disjoint chorded rings torn down by round-robin delete runs: every run
-/// certifies tree deletions in many distinct pre-batch components, which is
-/// exactly what the parallel independent-search fan-out groups on.  The
-/// telemetry module below proves the fan-out actually engages on this trace.
+/// certifies tree and non-tree deletions in many distinct pre-batch
+/// components.  The telemetry module below proves the chunked delete path
+/// actually engages on this trace.
 fn multi_component_teardown_batches() -> Vec<Vec<GraphOp>> {
     let (comps, size) = (8usize, 12usize);
     let mut ops = vec![GraphOp::AddVertices(comps * size)];
@@ -313,17 +313,17 @@ mod telemetry_counters {
         );
     }
 
-    /// The independent-search fan-out must actually engage on a
-    /// multi-component teardown (`searches_fanned_out > 0` at pool width
-    /// ≥ 2) while the byte-identity sweep over the same trace holds — a
-    /// fan-out that silently never fires would make that sweep vacuous.
+    /// The chunked delete path must actually engage on a multi-component
+    /// teardown (`delete_certificates_issued > 0` at pool width ≥ 2) while
+    /// the byte-identity sweep over the same trace holds — a classification
+    /// pre-pass that silently never fires would make that sweep vacuous.
     #[test]
-    fn fan_out_engages_on_multi_component_teardowns() {
+    fn delete_pre_pass_engages_on_multi_component_teardowns() {
         use dyntree_connectivity::DynConnectivity;
         type Ufo = ufo_forest::UfoForest;
 
         let batches = super::multi_component_teardown_batches();
-        let fanned = |cfg: ParallelConfig| -> u64 {
+        let issued = |cfg: ParallelConfig| -> u64 {
             let mut engine: DynConnectivity<Ufo> = DynConnectivity::new(0)
                 .with_parallel_config(cfg)
                 .with_telemetry(Telemetry::enabled());
@@ -334,14 +334,14 @@ mod telemetry_counters {
             engine
                 .telemetry_snapshot()
                 .expect("telemetry enabled")
-                .counter("searches_fanned_out")
+                .counter("delete_certificates_issued")
         };
-        assert_eq!(fanned(ParallelConfig::sequential()), 0);
-        assert_eq!(fanned(forced(1)), 0, "1-thread pool must not fan out");
+        assert_eq!(issued(ParallelConfig::sequential()), 0);
+        assert_eq!(issued(forced(1)), 0, "1-thread pool must not classify");
         for threads in [2, 4, 8] {
             assert!(
-                fanned(forced(threads)) > 0,
-                "fan-out never engaged at pool width {threads}"
+                issued(forced(threads)) > 0,
+                "delete pre-pass never engaged at pool width {threads}"
             );
         }
     }
