@@ -184,7 +184,7 @@ pub const GATE_REPS: usize = 2;
 pub enum Rule {
     /// Median ratio within `BENCH_GATE_TOLERANCE` (noisy timing metrics).
     Median,
-    /// Every cell within `MEM_GATE_TOLERANCE` (deterministic memory metrics).
+    /// No cell worse than recorded (deterministic memory metrics).
     EveryCell,
 }
 
@@ -535,8 +535,7 @@ fn serve_throughput_rows(reps: usize) -> Vec<BaselineRow> {
 /// live edge at the peak-load point of the two 64k-op scaling traces
 /// (sampled at transaction boundaries), one row per backend.  No timing is
 /// involved — the numbers are deterministic for a fixed trace — so the gate
-/// compares these rows cell-by-cell at a tight tolerance
-/// (`MEM_GATE_TOLERANCE`, default 15%) instead of by median.
+/// fails on any cell that grows, instead of judging the median.
 fn memory_usage_rows(_reps: usize) -> Vec<BaselineRow> {
     let mut results = Vec::new();
     for (name, ops) in [parallel_scaling_trace(), parallel_scaling_delete_trace()] {
@@ -589,10 +588,10 @@ impl GateReport {
         self.missing.is_empty() && self.median_ratio >= 1.0 - tolerance
     }
 
-    /// Strict variant for deterministic metrics (memory): every single cell
-    /// must stay within `tolerance`, not just the median.
-    pub fn passes_every_cell(&self, tolerance: f64) -> bool {
-        self.missing.is_empty() && self.min_ratio >= 1.0 - tolerance
+    /// Exact rule for deterministic metrics (memory): no single cell may be
+    /// worse than recorded, at the recorded precision.
+    pub fn passes_every_cell(&self) -> bool {
+        self.missing.is_empty() && self.min_ratio >= 1.0
     }
 }
 
@@ -622,13 +621,15 @@ pub fn compare(recorded: &Baseline, measured: &Baseline) -> GateReport {
                 continue;
             };
             let label = format!("{} {metric}", old.id_string());
-            // compare as the JSON stores them (`{:.0}`)
-            if lower_is_better(metric) && format!("{old_v:.0}") != format!("{new_v:.0}") {
+            // memory cells compare as the JSON stores them (`{:.0}`), so a
+            // sub-byte move is neither drift nor growth
+            let recorded_as = |v: f64| -> f64 { format!("{v:.0}").parse().unwrap() };
+            if lower_is_better(metric) && recorded_as(*old_v) != recorded_as(*new_v) {
                 drifted.push((label.clone(), *old_v, *new_v));
             }
             if *old_v > 0.0 && *new_v > 0.0 {
                 let ratio = if lower_is_better(metric) {
-                    old_v / new_v
+                    recorded_as(*old_v) / recorded_as(*new_v)
                 } else {
                     new_v / old_v
                 };
@@ -766,29 +767,33 @@ mod tests {
         assert_eq!(parsed.results[0].metrics.len(), 1);
         assert_eq!(parsed.results[0].metrics[0].0, "bytes_per_edge");
 
-        // 10% *more* bytes per edge: passes at 15%, fails at 5% —
-        // every-cell rule, inverted ratio (lower is better)
+        // any growth fails the every-cell rule, down to one recorded byte;
+        // the ratio is inverted (lower is better)
         let mut measured = mem.clone();
         measured.results[0].metrics[0].1 = 563.2;
         let report = compare(&mem, &measured);
         assert!(report.min_ratio < 1.0, "growth must read as a regression");
-        assert!(report.passes_every_cell(0.15));
-        assert!(!report.passes_every_cell(0.05));
+        assert!(!report.passes_every_cell());
         assert_eq!(report.drifted.len(), 1, "a moved cell is listed");
+        measured.results[0].metrics[0].1 = 512.6;
+        assert!(!compare(&mem, &measured).passes_every_cell());
 
         // a sub-byte move that rounds to the recorded value is no drift
+        // and no growth
         measured.results[0].metrics[0].1 = 512.4;
-        assert!(compare(&mem, &measured).drifted.is_empty());
+        let report = compare(&mem, &measured);
+        assert!(report.drifted.is_empty());
+        assert!(report.passes_every_cell());
         measured.results[0].metrics[0].1 = 511.4;
         let report = compare(&mem, &measured);
-        assert!(report.passes_every_cell(0.0));
+        assert!(report.passes_every_cell());
         assert_eq!(report.drifted.len(), 1, "an improvement is listed too");
 
         // fewer bytes per edge is an improvement, never a failure
         measured.results[0].metrics[0].1 = 256.0;
         let report = compare(&mem, &measured);
         assert!(report.min_ratio > 1.0);
-        assert!(report.passes_every_cell(0.0));
+        assert!(report.passes_every_cell());
 
         // the derived edge count may drift without un-matching the row
         measured.results[0].id[3].1 = "41234".into();
@@ -804,7 +809,7 @@ mod tests {
         measured.results[0].metrics[0].1 = 617.0;
         let report = compare(&recorded, &measured);
         assert!(report.passes(0.25));
-        assert!(!report.passes_every_cell(0.25));
+        assert!(!report.passes_every_cell());
     }
 
     #[test]
@@ -845,11 +850,12 @@ mod tests {
         assert_eq!(parse_tolerance("T", Some(" 0 "), 0.25), 0.0);
         assert_eq!(parse_tolerance("T", None, 0.25), 0.25);
         for bad in ["0,5", "1.5", "15%", "1", "-0.1", "NaN", ""] {
-            let err =
-                std::panic::catch_unwind(|| parse_tolerance("MEM_GATE_TOLERANCE", Some(bad), 0.15))
-                    .expect_err(bad);
+            let err = std::panic::catch_unwind(|| {
+                parse_tolerance("BENCH_GATE_TOLERANCE", Some(bad), 0.25)
+            })
+            .expect_err(bad);
             let msg = err.downcast_ref::<String>().unwrap();
-            assert!(msg.contains("MEM_GATE_TOLERANCE"), "{msg}");
+            assert!(msg.contains("BENCH_GATE_TOLERANCE"), "{msg}");
         }
     }
 

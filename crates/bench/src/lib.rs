@@ -631,7 +631,7 @@ pub const REBUILD_BENCH_THRESHOLD: usize = 5;
 /// other; end-state would be useless on the delete-heavy trace, which
 /// finishes almost empty while the slabs retain their peak capacity.
 /// Memory, unlike throughput, is deterministic for a fixed trace, so the
-/// gate can hold these rows to a much tighter tolerance.
+/// gate holds these rows exactly: any growth fails.
 pub fn memory_peak_of_trace(backend: ConnBackend, ops: &[GraphOp]) -> (usize, usize) {
     fn run<B: SpanningBackend<Weights = SumMinMax>>(ops: &[GraphOp]) -> (usize, usize) {
         let mut engine: DynConnectivity<B> = DynConnectivity::new(0);

@@ -18,7 +18,7 @@ use dyntree_naive::NaiveForest;
 use dyntree_primitives::algebra::{ActionOf, Agg, CommutativeMonoid, WeightOf};
 use dyntree_primitives::ops::EdgeKind;
 use dyntree_seqs::DynSequence;
-use ufo_forest::UfoForest;
+use ufo_forest::{Extent, UfoForest};
 
 /// A dynamic-tree structure able to host the spanning forest of a
 /// [`DynConnectivity`](crate::DynConnectivity) engine.
@@ -226,7 +226,8 @@ pub trait SpanningBackend: Send + Sync {
     }
 }
 
-impl<M: CommutativeMonoid> SpanningBackend for UfoForest<M> {
+// Either extent policy: the engine reads only core summaries.
+impl<M: CommutativeMonoid, X: Extent> SpanningBackend for UfoForest<M, X> {
     type Weights = M;
     const NAME: &'static str = "ufo";
     const WEIGHTED: bool = true;

@@ -17,10 +17,10 @@
 use dyntree_primitives::ops::normalize_batch;
 
 use crate::forest::UfoForest;
-use crate::summary::CommutativeMonoid;
+use crate::summary::{CommutativeMonoid, Extent};
 use crate::Vertex;
 
-impl<M: CommutativeMonoid> UfoForest<M> {
+impl<M: CommutativeMonoid, X: Extent> UfoForest<M, X> {
     /// Applies a batch of edge insertions.  Self loops, duplicates and edges
     /// that would close a cycle (within the batch or with existing edges) are
     /// skipped.  Returns the number of edges inserted.

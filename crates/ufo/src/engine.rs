@@ -22,8 +22,8 @@ use dyntree_primitives::algebra::SumMinMax;
 use dyntree_primitives::hash::FxHashMap;
 use dyntree_primitives::ops::assert_id_space;
 
-use crate::summary::{Agg, CommutativeMonoid, Summary};
-use crate::{ClusterId, Vertex, INF_DIST, NIL32};
+use crate::summary::{deeper, nearer, Agg, CommutativeMonoid, Core, Extent, Extents, Summary};
+use crate::{ClusterId, Vertex, NIL32};
 
 /// Narrows a cluster/vertex id to its stored `u32` form.
 #[inline]
@@ -84,10 +84,10 @@ pub struct AdjEntry {
 /// beside the slab, so a walk up the hierarchy reads 4 bytes per level
 /// instead of a whole cluster (DESIGN.md §2).
 #[derive(Clone, Debug)]
-pub struct Cluster<M: CommutativeMonoid = SumMinMax> {
+pub struct Cluster<M: CommutativeMonoid = SumMinMax, X: Extent = Core> {
     /// Level in the hierarchy (leaves are level 0).  The height is
-    /// `O(log n)`, so 16 bits hold it ([`ContractionForest::new_cluster`]
-    /// checks the narrowing).
+    /// `O(log n)`, so 16 bits hold it (`new_cluster` checks the
+    /// narrowing).
     pub level: u16,
     /// Whether the cluster is live (false for freed slots).
     pub alive: bool,
@@ -104,12 +104,12 @@ pub struct Cluster<M: CommutativeMonoid = SumMinMax> {
     /// Child clusters (empty for leaves).
     pub children: Vec<u32>,
     /// Augmented values.
-    pub summary: Summary<M>,
+    pub summary: Summary<M, X>,
 }
 
-impl<M: CommutativeMonoid> Cluster<M> {
+impl<M: CommutativeMonoid, X: Extent> Cluster<M, X> {
     /// An unlinked cluster at `level` with no children and no adjacency.
-    fn unlinked(level: u16, alive: bool, summary: Summary<M>) -> Self {
+    fn unlinked(level: u16, alive: bool, summary: Summary<M, X>) -> Self {
         Cluster {
             level,
             alive,
@@ -121,7 +121,7 @@ impl<M: CommutativeMonoid> Cluster<M> {
         }
     }
 
-    fn new_leaf(summary: Summary<M>) -> Self {
+    fn new_leaf(summary: Summary<M, X>) -> Self {
         Self::unlinked(0, true, summary)
     }
 
@@ -182,104 +182,41 @@ impl<T> std::ops::IndexMut<usize> for ClusterSlab<T> {
     }
 }
 
-/// The two best values of a pendant statistic, each with the child that
-/// produced it, so a parent can leave out the child holding one of its
-/// boundary vertices.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Top2 {
-    val: [u64; 2],
-    who: [u32; 2],
-}
-
-impl Top2 {
-    /// Empty, for depths (larger is better; a real depth is at least 1).
-    const NO_DEPTH: Top2 = Top2 {
-        val: [0, 0],
-        who: [NIL32, NIL32],
-    };
-    /// Empty, for distances (smaller is better).
-    const NO_NEAR: Top2 = Top2 {
-        val: [u64::MAX, u64::MAX],
-        who: [NIL32, NIL32],
-    };
-
-    fn offer(&mut self, val: u64, who: u32, better: fn(u64, u64) -> bool) {
-        if better(val, self.val[0]) {
-            self.val = [val, self.val[0]];
-            self.who = [who, self.who[0]];
-        } else if better(val, self.val[1]) {
-            self.val[1] = val;
-            self.who[1] = who;
-        }
-    }
-
-    fn merge(mut self, other: &Top2, better: fn(u64, u64) -> bool) -> Top2 {
-        for i in 0..2 {
-            if other.who[i] != NIL32 {
-                self.offer(other.val[i], other.who[i], better);
-            }
-        }
-        self
-    }
-
-    /// The best value not produced by `child` (`NIL32` excludes nothing).
-    fn without(&self, child: u32) -> u64 {
-        if child != NIL32 && self.who[0] == child {
-            self.val[1]
-        } else {
-            self.val[0]
-        }
-    }
-}
-
-fn deeper(a: u64, b: u64) -> bool {
-    a > b
-}
-
-fn nearer(a: u64, b: u64) -> bool {
-    a < b
-}
-
 /// The fold of a run of pendant children (every child of a cluster but the
 /// hub at slot 0).  Merging is associative, so blocks fold independently and
 /// combine up a tree; the parent summary is the hub summary combined with the
-/// fold of all pendants ([`ContractionForest::compute_summary`]).
+/// fold of all pendants ([`ContractionForest::compute_summary`]).  Its
+/// extent part is zero-sized under [`Core`].
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct Fold<M: CommutativeMonoid> {
+pub(crate) struct Fold<M: CommutativeMonoid, X: Extent> {
     sub: Agg<M>,
     vertices: u64,
-    /// Largest pendant diameter.
-    diam: u64,
-    /// Per hub boundary index: the deepest pendants attached there (1 + the
-    /// pendant's eccentricity from its attach vertex).
-    deep: [Top2; 2],
-    /// Per hub boundary index: the nearest marked vertex through each
-    /// pendant attached there (1 + the pendant's nearest-marked distance
-    /// from its attach vertex).
-    near: [Top2; 2],
+    ext: X::Fold,
 }
 
-impl<M: CommutativeMonoid> Fold<M> {
-    const EMPTY: Fold<M> = Fold {
+impl<M: CommutativeMonoid, X: Extent> Fold<M, X> {
+    const EMPTY: Fold<M, X> = Fold {
         sub: Agg::IDENTITY,
         vertices: 0,
-        diam: 0,
-        deep: [Top2::NO_DEPTH; 2],
-        near: [Top2::NO_NEAR; 2],
+        ext: X::EMPTY_FOLD,
     };
 
-    fn merge(&self, other: &Fold<M>) -> Fold<M> {
+    fn merge(&self, other: &Fold<M, X>) -> Fold<M, X> {
+        let mut ext = self.ext;
+        if let (Some(a), Some(b)) = (X::fold_mut(&mut ext), X::fold(&other.ext)) {
+            *a = a.merge(b);
+        }
         Fold {
             sub: Agg::combine(self.sub, other.sub),
             vertices: self.vertices + other.vertices,
-            diam: self.diam.max(other.diam),
-            deep: [0, 1].map(|j| self.deep[j].merge(&other.deep[j], deeper)),
-            near: [0, 1].map(|j| self.near[j].merge(&other.near[j], nearer)),
+            ext,
         }
     }
 
-    /// Folds the pendants `ys` of a cluster whose hub is `hub`.
-    fn of(clusters: &ClusterSlab<Cluster<M>>, hub: u32, ys: &[u32]) -> Fold<M> {
+    /// Folds the pendants `ys` of a cluster whose hub is `hub`.  Only the
+    /// extent part reads a pendant's edge to the hub, so under [`Core`] no
+    /// adjacency list is read.
+    fn of(clusters: &ClusterSlab<Cluster<M, X>>, hub: u32, ys: &[u32]) -> Fold<M, X> {
         let hub_sum = &clusters[hub].summary;
         let mut f = Fold::EMPTY;
         for &y in ys {
@@ -288,13 +225,18 @@ impl<M: CommutativeMonoid> Fold<M> {
             let ch = &clusters[y];
             f.sub = Agg::combine(f.sub, ch.summary.sub);
             f.vertices += ch.summary.vertices;
-            f.diam = f.diam.max(ch.summary.diam);
+            let (Some(fx), Some(cx)) = (X::fold_mut(&mut f.ext), ch.summary.ext.get()) else {
+                continue;
+            };
+            fx.diam = fx.diam.max(cx.diam);
             // boundary indices of the pendant's one edge to the hub (`my_end`
             // inside the pendant, `other_end` inside the hub); with a single
             // boundary on both sides they are 0 without reading the edge
             let (ci, hi) = if ch.summary.nbound <= 1 && hub_sum.nbound <= 1 {
                 (0, 0)
             } else {
+                #[cfg(test)]
+                tests::ADJ_READS.with(|n| n.set(n.get() + 1));
                 let e = ch
                     .neighbors
                     .iter()
@@ -305,8 +247,8 @@ impl<M: CommutativeMonoid> Fold<M> {
                     hub_sum.boundary_index(e.other_end).unwrap_or(0),
                 )
             };
-            f.deep[hi].offer(1 + ch.summary.ecc[ci], y, deeper);
-            f.near[hi].offer(ch.summary.near[ci].saturating_add(1), y, nearer);
+            fx.deep[hi].offer(1 + cx.ecc[ci], y, deeper);
+            fx.near[hi].offer(cx.near[ci].saturating_add(1), y, nearer);
         }
         f
     }
@@ -317,25 +259,29 @@ impl<M: CommutativeMonoid> Fold<M> {
 /// the pendant slots `1 + kB .. 1 + (k+1)B` (empty past the last child),
 /// node `i` merges nodes `2i` and `2i + 1`, and node 1 folds every pendant.
 #[derive(Clone, Debug)]
-pub(crate) struct FoldTree<M: CommutativeMonoid> {
+pub(crate) struct FoldTree<M: CommutativeMonoid, X: Extent> {
     /// The hub and its boundary the leaves were folded against; a change to
     /// either re-folds every block.
     hub: u32,
     hub_bounds: ([u32; 2], u8),
-    nodes: Vec<Fold<M>>,
+    nodes: Vec<Fold<M, X>>,
     /// One bit per block: whether its children changed since the last
     /// refresh.  Its size is fixed by `cap`, however many updates touch the
     /// tree before the next refresh.
     stale: Vec<u64>,
 }
 
-impl<M: CommutativeMonoid> FoldTree<M> {
+impl<M: CommutativeMonoid, X: Extent> FoldTree<M, X> {
     fn cap(&self) -> usize {
         self.nodes.len() / 2
     }
 
     /// Folds every block of `children` into a fresh tree with `cap` leaves.
-    fn build(clusters: &ClusterSlab<Cluster<M>>, children: &[u32], cap: usize) -> FoldTree<M> {
+    fn build(
+        clusters: &ClusterSlab<Cluster<M, X>>,
+        children: &[u32],
+        cap: usize,
+    ) -> FoldTree<M, X> {
         let hub = children[0];
         let hs = &clusters[hub].summary;
         let mut nodes = vec![Fold::EMPTY; 2 * cap];
@@ -364,7 +310,7 @@ impl<M: CommutativeMonoid> FoldTree<M> {
     /// Whether the tree still fits `children`: same hub and hub boundary,
     /// and a block count within `(cap / 4, cap]` so a fan-out oscillating at
     /// a power of two does not rebuild on every update.
-    fn fits(&self, clusters: &ClusterSlab<Cluster<M>>, children: &[u32]) -> bool {
+    fn fits(&self, clusters: &ClusterSlab<Cluster<M, X>>, children: &[u32]) -> bool {
         let hs = &clusters[children[0]].summary;
         let blocks = blocks(children.len());
         self.hub == children[0]
@@ -379,7 +325,7 @@ impl<M: CommutativeMonoid> FoldTree<M> {
     /// order; each pass replaces them, in place, by their distinct parents.
     fn refresh(
         &mut self,
-        clusters: &ClusterSlab<Cluster<M>>,
+        clusters: &ClusterSlab<Cluster<M, X>>,
         children: &[u32],
         work: &mut Vec<usize>,
     ) {
@@ -417,7 +363,7 @@ impl<M: CommutativeMonoid> FoldTree<M> {
     }
 
     fn heap_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<Fold<M>>()
+        self.nodes.capacity() * std::mem::size_of::<Fold<M, X>>()
             + self.stale.capacity() * std::mem::size_of::<u64>()
     }
 }
@@ -437,19 +383,23 @@ struct BoundaryLoc {
     /// distance from the boundary to each hub boundary vertex
     d_hub: [u64; 2],
     /// eccentricity / nearest-marked distance within the hub plus `child`
+    /// (0 under [`Core`])
     ecc: u64,
     near: u64,
 }
 
 /// The contraction forest over vertices `0..n`, generic over the vertex
-/// weight monoid (default: the `i64` sum/min/max aggregate).
+/// weight monoid (default: the `i64` sum/min/max aggregate) and the
+/// [`Extent`] policy (default: [`Core`], no extents; name [`Extents`] for
+/// diameter and nearest-marked queries).
 #[derive(Clone, Debug)]
-pub struct ContractionForest<M: CommutativeMonoid = SumMinMax> {
+pub struct ContractionForest<M: CommutativeMonoid = SumMinMax, X: Extent = Core> {
     policy: Policy,
     pub(crate) weights: Vec<M::Weight>,
     pub(crate) phantom: Vec<bool>,
+    /// Per-vertex marks for nearest-marked queries; empty under [`Core`].
     pub(crate) marked: Vec<bool>,
-    pub(crate) clusters: ClusterSlab<Cluster<M>>,
+    pub(crate) clusters: ClusterSlab<Cluster<M, X>>,
     /// The parent of each slab id, one level up: `NIL32` for roots and for
     /// freed slots.  Kept as a dense array beside `clusters` rather than in
     /// each cluster, so the walks up the hierarchy (`connected`, the
@@ -476,11 +426,11 @@ pub struct ContractionForest<M: CommutativeMonoid = SumMinMax> {
     fold_work: Vec<usize>,
     /// Cached block folds, keyed by cluster id; present exactly for the
     /// clusters with more than `B` children.
-    folds: FxHashMap<u32, FoldTree<M>>,
+    folds: FxHashMap<u32, FoldTree<M, X>>,
     num_edges: usize,
 }
 
-impl<M: CommutativeMonoid> ContractionForest<M> {
+impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
     /// Creates a forest of `n` isolated vertices under the given policy.
     ///
     /// Panics if `n` exceeds [`MAX_VERTICES`](dyntree_primitives::ops::MAX_VERTICES)
@@ -491,7 +441,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             policy,
             weights: vec![M::Weight::default(); n],
             phantom: vec![false; n],
-            marked: vec![false; n],
+            marked: vec![false; if X::ENABLED { n } else { 0 }],
             clusters: ClusterSlab(Vec::with_capacity(2 * n)),
             parents: ClusterSlab(Vec::with_capacity(2 * n)),
             free: Vec::new(),
@@ -545,7 +495,9 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         self.free.retain(|&id| id as usize >= n);
         self.weights.resize(n, M::Weight::default());
         self.phantom.resize(n, false);
-        self.marked.resize(n, false);
+        if X::ENABLED {
+            self.marked.resize(n, false);
+        }
         for v in old..n {
             if v < self.clusters.len() && self.clusters[v].alive {
                 self.relocate_cluster(v);
@@ -634,18 +586,6 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// Returns the weight of vertex `v`.
     pub fn weight(&self, v: Vertex) -> M::Weight {
         self.weights[v]
-    }
-
-    /// Marks or unmarks vertex `v` for nearest-marked-vertex queries,
-    /// queueing the summary refresh.
-    pub fn set_marked(&mut self, v: Vertex, m: bool) {
-        self.marked[v] = m;
-        self.mark_dirty(narrow(v));
-    }
-
-    /// Whether vertex `v` is marked.
-    pub fn is_marked(&self, v: Vertex) -> bool {
-        self.marked[v]
     }
 
     /// Whether edge `(u, v)` is currently present.
@@ -750,7 +690,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             bytes += c.neighbors.capacity() * std::mem::size_of::<AdjEntry>();
             bytes += c.children.capacity() * std::mem::size_of::<u32>();
         }
-        bytes += self.folds.capacity() * (std::mem::size_of::<(u32, FoldTree<M>)>() + 1);
+        bytes += self.folds.capacity() * (std::mem::size_of::<(u32, FoldTree<M, X>)>() + 1);
         bytes + self.folds.values().map(FoldTree::heap_bytes).sum::<usize>()
     }
 
@@ -1388,7 +1328,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// The fold of `c`'s pendant children: folded directly for at most `B`
     /// children, otherwise read from `c`'s fold tree after re-folding its
     /// stale blocks (the whole tree when it no longer fits).
-    fn pendant_fold(&mut self, c: u32) -> Fold<M> {
+    fn pendant_fold(&mut self, c: u32) -> Fold<M, X> {
         let children = &self.clusters[c].children;
         if children.len() <= 1 {
             return Fold::EMPTY;
@@ -1413,7 +1353,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
 
     /// The fold of `c`'s pendant children from scratch, block by block in
     /// the shape of `c`'s fold tree (for invariant checks).
-    fn fresh_pendant_fold(&self, c: u32) -> Fold<M> {
+    fn fresh_pendant_fold(&self, c: u32) -> Fold<M, X> {
         let children = &self.clusters[c].children;
         if children.len() <= 1 {
             return Fold::EMPTY;
@@ -1428,22 +1368,20 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         FoldTree::build(&self.clusters, children, cap).nodes[1]
     }
 
-    fn leaf_summary(&self, v: Vertex) -> Summary<M> {
-        let w = self.weights[v];
-        let phantom = self.phantom[v];
+    fn leaf_summary(&self, v: Vertex) -> Summary<M, X> {
+        let mut ext = X::EMPTY;
+        if let Some(e) = ext.get_mut() {
+            if self.marked[v] {
+                e.near = [0, 0];
+            }
+        }
         Summary {
             boundary: [narrow(v), narrow(v)],
             nbound: 1,
-            sub: Agg::vertex_if(w, phantom),
+            sub: Agg::vertex_if(self.weights[v], self.phantom[v]),
             vertices: 1,
             path: Agg::IDENTITY,
-            ecc: [0, 0],
-            diam: 0,
-            near: if self.marked[v] {
-                [0, 0]
-            } else {
-                [INF_DIST, INF_DIST]
-            },
+            ext,
         }
     }
 
@@ -1460,8 +1398,9 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// Recomputes the summary of cluster `c` from the summaries of its hub
     /// (slot 0) and the fold of its pendant children (or from the vertex
     /// data for leaves).  Besides the fold it reads the hub and the at most
-    /// two pendants that hold a boundary vertex of `c`.
-    pub(crate) fn compute_summary(&self, c: u32, pendants: &Fold<M>) -> Summary<M> {
+    /// two pendants that hold a boundary vertex of `c`; under [`Core`] it
+    /// reads those pendants only for a two-boundary cluster's path.
+    pub(crate) fn compute_summary(&self, c: u32, pendants: &Fold<M, X>) -> Summary<M, X> {
         let cl = &self.clusters[c];
         if cl.children.is_empty() {
             // a leaf's boundary is always itself
@@ -1488,7 +1427,7 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
 
         let hub = cl.children[0];
         let hub_sum = &self.clusters[hub].summary;
-        let mut s = Summary::empty();
+        let mut s: Summary<M, X> = Summary::empty();
         s.boundary = boundary;
         s.nbound = nbound as u8;
         s.sub = Agg::combine(hub_sum.sub, pendants.sub);
@@ -1500,13 +1439,15 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             } else {
                 Agg::IDENTITY
             };
-            s.diam = hub_sum.diam;
-            for i in 0..nbound {
-                let bi = hub_sum
-                    .boundary_index(s.boundary[i])
-                    .expect("parent boundary must be a child boundary");
-                s.ecc[i] = hub_sum.ecc[bi];
-                s.near[i] = hub_sum.near[bi];
+            if let (Some(sx), Some(hx)) = (s.ext.get_mut(), hub_sum.ext.get()) {
+                sx.diam = hx.diam;
+                for (i, &b) in boundary.iter().enumerate().take(nbound) {
+                    let bi = hub_sum
+                        .boundary_index(b)
+                        .expect("parent boundary must be a child boundary");
+                    sx.ecc[i] = hx.ecc[bi];
+                    sx.near[i] = hx.near[bi];
+                }
             }
             return s;
         }
@@ -1515,52 +1456,63 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         // attached to the hub by exactly one internal edge.  Locate each
         // parent boundary (in the hub, or in a pendant) with its distance to
         // every hub boundary vertex and its base (within its own child + the
-        // hub) eccentricity / nearest-marked distance.
-        let locs = [0, 1].map(|i| (i < nbound).then(|| self.locate(c, hub, s.boundary[i])));
+        // hub) eccentricity / nearest-marked distance.  Without extents only
+        // the cluster path of a two-boundary cluster needs the locations.
+        let locs = if X::ENABLED || nbound == 2 {
+            [0, 1].map(|i| (i < nbound).then(|| self.locate(c, hub, boundary[i])))
+        } else {
+            [None, None]
+        };
 
-        // Diameter: the hub's, the pendants', a deepest pendant plus the
-        // hub's eccentricity at its attach vertex, and the two deepest
-        // pendants at one hub boundary vertex or across both.
-        let hn = hub_sum.nbound as usize;
-        let deep = &pendants.deep;
-        let mut diam = hub_sum.diam.max(pendants.diam);
-        for (j, d) in deep.iter().enumerate() {
-            if d.val[0] > 0 {
-                diam = diam.max(d.val[0] + hub_sum.ecc[j]);
-            }
-            if j < hn && d.val[1] > 0 {
-                diam = diam.max(d.val[0] + d.val[1]);
-            }
-        }
-        if hn == 2 && deep[0].val[0] > 0 && deep[1].val[0] > 0 {
-            diam = diam.max(deep[0].val[0] + hub_sum.path.edges + deep[1].val[0]);
-        }
-        // Eccentricity / nearest from each parent boundary: through the hub
-        // into every pendant except the one holding the boundary.
-        for (i, loc) in locs.iter().enumerate() {
-            let Some(loc) = loc else { continue };
-            s.ecc[i] = loc.ecc;
-            s.near[i] = loc.near;
-            for ((d, near), through) in deep.iter().zip(&pendants.near).zip(loc.d_hub) {
-                let depth = d.without(loc.child);
-                if depth > 0 {
-                    s.ecc[i] = s.ecc[i].max(through + depth);
+        if let (Some(sx), Some(hx), Some(px)) =
+            (s.ext.get_mut(), hub_sum.ext.get(), X::fold(&pendants.ext))
+        {
+            // Diameter: the hub's, the pendants', a deepest pendant plus the
+            // hub's eccentricity at its attach vertex, and the two deepest
+            // pendants at one hub boundary vertex or across both.
+            let hn = hub_sum.nbound as usize;
+            let deep = &px.deep;
+            let mut diam = hx.diam.max(px.diam);
+            for (j, d) in deep.iter().enumerate() {
+                if d.val[0] > 0 {
+                    diam = diam.max(d.val[0] + hx.ecc[j]);
                 }
-                let near = near.without(loc.child);
-                s.near[i] = s.near[i].min(through.saturating_add(near));
+                if j < hn && d.val[1] > 0 {
+                    diam = diam.max(d.val[0] + d.val[1]);
+                }
             }
+            if hn == 2 && deep[0].val[0] > 0 && deep[1].val[0] > 0 {
+                diam = diam.max(deep[0].val[0] + hub_sum.path.edges + deep[1].val[0]);
+            }
+            // Eccentricity / nearest from each parent boundary: through the
+            // hub into every pendant except the one holding the boundary.
+            for (i, loc) in locs.iter().enumerate() {
+                let Some(loc) = loc else { continue };
+                sx.ecc[i] = loc.ecc;
+                sx.near[i] = loc.near;
+                for ((d, near), through) in deep.iter().zip(&px.near).zip(loc.d_hub) {
+                    let depth = d.without(loc.child);
+                    if depth > 0 {
+                        sx.ecc[i] = sx.ecc[i].max(through + depth);
+                    }
+                    let near = near.without(loc.child);
+                    sx.near[i] = sx.near[i].min(through.saturating_add(near));
+                }
+            }
+            sx.diam = diam.max(sx.ecc[..nbound].iter().copied().max().unwrap_or(0));
         }
-        s.diam = diam.max(s.ecc[..nbound].iter().copied().max().unwrap_or(0));
 
         // Cluster path: only meaningful with two boundary vertices.
         if let [Some(l0), Some(l1)] = &locs {
-            s.path = self.path_between_in_parent(hub, (s.boundary[0], l0), (s.boundary[1], l1));
+            s.path = self.path_between_in_parent(hub, (boundary[0], l0), (boundary[1], l1));
         }
         s
     }
 
     /// Locates the boundary vertex `b` of cluster `c` (whose hub is `hub`).
     fn locate(&self, c: u32, hub: u32, b: u32) -> BoundaryLoc {
+        #[cfg(test)]
+        tests::LOCATES.with(|n| n.set(n.get() + 1));
         let hub_sum = &self.clusters[hub].summary;
         let hn = hub_sum.nbound as usize;
         let mut d_hub = [0u64; 2];
@@ -1568,13 +1520,17 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
             for (j, d) in d_hub.iter_mut().enumerate().take(hn) {
                 *d = hub_sum.boundary_distance(b, hub_sum.boundary[j]);
             }
+            let (ecc, near) = hub_sum
+                .ext
+                .get()
+                .map_or((0, 0), |hx| (hx.ecc[bi], hx.near[bi]));
             return BoundaryLoc {
                 child: NIL32,
                 x: NIL32,
                 y: NIL32,
                 d_hub,
-                ecc: hub_sum.ecc[bi],
-                near: hub_sum.near[bi],
+                ecc,
+                near,
             };
         }
         // b lies in a pendant: the pair's other child, or its ancestor one
@@ -1606,13 +1562,20 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         for (j, d) in d_hub.iter_mut().enumerate().take(hn) {
             *d = d_to_hub_attach + hub_sum.boundary_distance(x, hub_sum.boundary[j]);
         }
+        let (ecc, near) = match (ch.ext.get(), hub_sum.ext.get()) {
+            (Some(cx), Some(hx)) => (
+                cx.ecc[bi].max(d_to_hub_attach + hx.ecc[xi]),
+                cx.near[bi].min(d_to_hub_attach.saturating_add(hx.near[xi])),
+            ),
+            _ => (0, 0),
+        };
         BoundaryLoc {
             child,
             x,
             y,
             d_hub,
-            ecc: ch.ecc[bi].max(d_to_hub_attach + hub_sum.ecc[xi]),
-            near: ch.near[bi].min(d_to_hub_attach.saturating_add(hub_sum.near[xi])),
+            ecc,
+            near,
         }
     }
 
@@ -1948,6 +1911,21 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     }
 }
 
+/// The mutators that exist only under the [`Extents`] policy.
+impl<M: CommutativeMonoid> ContractionForest<M, Extents> {
+    /// Marks or unmarks vertex `v` for nearest-marked-vertex queries,
+    /// queueing the summary refresh.
+    pub fn set_marked(&mut self, v: Vertex, m: bool) {
+        self.marked[v] = m;
+        self.mark_dirty(narrow(v));
+    }
+
+    /// Whether vertex `v` is marked.
+    pub fn is_marked(&self, v: Vertex) -> bool {
+        self.marked[v]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1961,6 +1939,12 @@ mod tests {
         /// on this thread.
         pub(super) static SUMMARIES: std::cell::Cell<usize> =
             const { std::cell::Cell::new(0) };
+        /// Pendant adjacency lists searched by [`Fold::of`] on this thread.
+        pub(super) static ADJ_READS: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+        /// [`ContractionForest::locate`] calls on this thread.
+        pub(super) static LOCATES: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
     }
 
     /// The narrowed adjacency entry must stay at 12 bytes — this is the
@@ -1970,13 +1954,18 @@ mod tests {
         assert_eq!(std::mem::size_of::<AdjEntry>(), 12);
     }
 
-    /// The `slot` back-pointer lives in the cluster's padding, and with the
-    /// parent pointer moved to the dense array and the level narrowed to
-    /// 16 bits the cluster sheds 8 bytes, so the 4-byte parent entry costs
-    /// nothing net.
+    /// The `slot` back-pointer lives in the cluster's padding, the parent
+    /// pointer in the dense array beside the slab, and the level in 16
+    /// bits.  The core summary is 104 bytes, so a core cluster is 160; the
+    /// extent record adds 40.  A core pendant fold is 48 bytes, an extent
+    /// one 152.
     #[test]
-    fn cluster_is_200_bytes() {
-        assert_eq!(std::mem::size_of::<Cluster<SumMinMax>>(), 200);
+    fn cluster_is_160_bytes_core_and_200_with_extents() {
+        assert_eq!(std::mem::size_of::<Summary<SumMinMax>>(), 104);
+        assert_eq!(std::mem::size_of::<Cluster<SumMinMax>>(), 160);
+        assert_eq!(std::mem::size_of::<Cluster<SumMinMax, Extents>>(), 200);
+        assert_eq!(std::mem::size_of::<Fold<SumMinMax, Core>>(), 48);
+        assert_eq!(std::mem::size_of::<Fold<SumMinMax, Extents>>(), 152);
     }
 
     /// Slab ids stop one short of the `NIL32` sentinel in every build.
@@ -1989,19 +1978,30 @@ mod tests {
         assert!(msg.contains("cluster slab exhausted"), "{msg}");
     }
 
+    /// A 1 + `leaves`-vertex star under policy `X`, settled.
+    fn star<X: Extent>(leaves: usize) -> ContractionForest<SumMinMax, X> {
+        let mut f = ContractionForest::new(leaves + 1, Policy::Ufo);
+        for v in 1..=leaves {
+            assert!(f.link(0, v));
+        }
+        f.settle();
+        f
+    }
+
     /// One cut and one relink at a leaf of a 16 384-leaf star re-fold a
     /// bounded number of child records: the cut re-folds the vacated slot's
     /// block and the last block, the link the last block (at most `3·B`
     /// pendants), plus the fold-tree paths above those three blocks — never
-    /// the whole fan-out.
+    /// the whole fan-out.  The bound holds under both policies.
     #[test]
     fn hub_update_refolds_a_bounded_number_of_pendants() {
+        hub_update_refolds_a_bounded_number_of_pendants_under::<Core>();
+        hub_update_refolds_a_bounded_number_of_pendants_under::<Extents>();
+    }
+
+    fn hub_update_refolds_a_bounded_number_of_pendants_under<X: Extent>() {
         const LEAVES: usize = 16_384;
-        let mut f: ContractionForest = ContractionForest::new(LEAVES + 1, Policy::Ufo);
-        for v in 1..=LEAVES {
-            assert!(f.link(0, v));
-        }
-        f.settle();
+        let mut f = star::<X>(LEAVES);
         let star = f.top_cluster(0) as u32;
         assert_eq!(f.clusters[star].fanout(), LEAVES + 1);
         let depth = (LEAVES / B).ilog2() as usize;
@@ -2029,19 +2029,87 @@ mod tests {
         (*state >> 33) as usize
     }
 
+    /// Counts of one settle under policy `X`: summaries recomputed,
+    /// (pendants, fold-tree nodes) re-folded, pendant adjacency lists
+    /// searched, `locate` calls.
+    fn settle_counts<X: Extent>(f: &mut ContractionForest<SumMinMax, X>) -> [usize; 5] {
+        SUMMARIES.with(|n| n.set(0));
+        FOLD_READS.with(|n| n.set((0, 0)));
+        ADJ_READS.with(|n| n.set(0));
+        LOCATES.with(|n| n.set(0));
+        f.settle();
+        let (pendants, nodes) = FOLD_READS.with(|n| n.get());
+        let counts = [
+            SUMMARIES.with(|n| n.get()),
+            pendants,
+            nodes,
+            ADJ_READS.with(|n| n.get()),
+            LOCATES.with(|n| n.get()),
+        ];
+        f.check_invariants().unwrap();
+        counts
+    }
+
+    /// Settling a cut+link at a 4 096-leaf star recomputes the same
+    /// summaries and re-folds the same pendants and fold-tree nodes under
+    /// both policies, and the core fold reads no pendant adjacency.  On a
+    /// random tree, whose hubs have two boundaries, the extent fold does
+    /// read pendant adjacency and `locate` runs more often; the core fold
+    /// still reads none.
+    #[test]
+    fn core_settle_reads_no_pendant_adjacency() {
+        fn star_counts<X: Extent>() -> [usize; 5] {
+            let mut f = star::<X>(4096);
+            assert!(f.cut(0, 777));
+            assert!(f.link(777, 0));
+            settle_counts(&mut f)
+        }
+        let (core, ext) = (star_counts::<Core>(), star_counts::<Extents>());
+        assert_eq!(core[..3], ext[..3], "summaries, pendants, fold-tree nodes");
+        assert_eq!(core[3], 0, "the core fold read a pendant's adjacency");
+
+        fn random_counts<X: Extent>() -> [usize; 5] {
+            const N: usize = 4096;
+            let mut rng = 0xad1;
+            let edges: Vec<(usize, usize)> = (1..N).map(|v| (lcg(&mut rng) % v, v)).collect();
+            let mut f = ContractionForest::<SumMinMax, X>::new(N, Policy::Ufo);
+            for &(u, v) in &edges {
+                assert!(f.link(u, v));
+            }
+            f.settle();
+            for &(u, v) in edges.iter().step_by(97) {
+                assert!(f.cut(u, v));
+                assert!(f.link(v, u));
+            }
+            settle_counts(&mut f)
+        }
+        let (core, ext) = (random_counts::<Core>(), random_counts::<Extents>());
+        assert_eq!(core[..3], ext[..3], "summaries, pendants, fold-tree nodes");
+        assert_eq!(core[3], 0, "the core fold read a pendant's adjacency");
+        assert!(ext[3] > 0, "the extent fold reads pendant adjacency");
+        assert!(
+            core[4] < ext[4],
+            "core {} vs extent {} locates",
+            core[4],
+            ext[4]
+        );
+    }
+
     /// Updates only queue work, and the queues stay bounded however many
     /// updates run unsettled: 20 000 cut+link pairs at a 4 096-leaf star
     /// leave each fold tree's stale set at one bit per block and the dirty
     /// list within the live clusters.  One settle then restores every
-    /// invariant, and a summary query on an unsettled forest panics.
+    /// invariant, and a summary query on an unsettled forest panics.  The
+    /// bounds hold under both policies.
     #[test]
     fn unsettled_updates_keep_queues_bounded() {
+        unsettled_updates_keep_queues_bounded_under::<Core>();
+        unsettled_updates_keep_queues_bounded_under::<Extents>();
+    }
+
+    fn unsettled_updates_keep_queues_bounded_under<X: Extent>() {
         const LEAVES: usize = 4096;
-        let mut f: ContractionForest = ContractionForest::new(LEAVES + 1, Policy::Ufo);
-        for v in 1..=LEAVES {
-            assert!(f.link(0, v));
-        }
-        f.settle();
+        let mut f = star::<X>(LEAVES);
         let mut rng = 0x5eed;
         for _ in 0..20_000 {
             let v = 1 + lcg(&mut rng) % LEAVES;

@@ -5,11 +5,11 @@ use dyntree_primitives::algebra::SumMinMax;
 use dyntree_ternary::{Ternarizer, UnderlyingOp};
 
 use crate::engine::{ContractionForest, Policy};
-use crate::summary::{Agg, CommutativeMonoid};
+use crate::summary::{Agg, CommutativeMonoid, Core, Extent, Extents};
 use crate::Vertex;
 
 /// A UFO tree forest over vertices `0..n`, generic over the vertex weight
-/// monoid (default: `i64` sum/min/max).
+/// monoid (default: `i64` sum/min/max) and the [`Extent`] policy.
 ///
 /// Thin façade over [`ContractionForest`] with the UFO merge policy; see the
 /// crate documentation for the supported operations.  Every mutator settles
@@ -17,12 +17,21 @@ use crate::Vertex;
 /// queries are always available here.  Callers that want to defer the
 /// refresh across several updates drive [`engine_mut`](Self::engine_mut)
 /// and call [`ContractionForest::settle`] before reading a summary.
+///
+/// The default policy, [`Core`], keeps what connectivity, path and subtree
+/// queries read.  The diameter and nearest-marked queries
+/// ([`component_diameter`](UfoForest::component_diameter),
+/// [`nearest_marked_distance`](UfoForest::nearest_marked_distance) and
+/// [`set_marked`](UfoForest::set_marked)) need the [`Extents`] policy,
+/// named as the second parameter: `UfoForest<SumMinMax, Extents>`.  Each
+/// refresh then also folds eccentricities, diameters and nearest-marked
+/// distances, and every cluster is 40 bytes larger (DESIGN.md §2).
 #[derive(Clone, Debug)]
-pub struct UfoForest<M: CommutativeMonoid = SumMinMax> {
-    inner: ContractionForest<M>,
+pub struct UfoForest<M: CommutativeMonoid = SumMinMax, X: Extent = Core> {
+    inner: ContractionForest<M, X>,
 }
 
-impl<M: CommutativeMonoid> UfoForest<M> {
+impl<M: CommutativeMonoid, X: Extent> UfoForest<M, X> {
     /// Creates a forest of `n` isolated vertices.
     pub fn new(n: usize) -> Self {
         Self {
@@ -43,12 +52,12 @@ impl<M: CommutativeMonoid> UfoForest<M> {
 
     /// Access to the underlying contraction engine (for advanced queries and
     /// instrumentation).
-    pub fn engine(&self) -> &ContractionForest<M> {
+    pub fn engine(&self) -> &ContractionForest<M, X> {
         &self.inner
     }
 
     /// Mutable access to the underlying contraction engine.
-    pub fn engine_mut(&mut self) -> &mut ContractionForest<M> {
+    pub fn engine_mut(&mut self) -> &mut ContractionForest<M, X> {
         &mut self.inner
     }
 
@@ -109,12 +118,6 @@ impl<M: CommutativeMonoid> UfoForest<M> {
         self.inner.weight(v)
     }
 
-    /// Marks or unmarks `v` for nearest-marked-vertex queries.
-    pub fn set_marked(&mut self, v: Vertex, m: bool) {
-        self.inner.set_marked(v, m);
-        self.inner.settle();
-    }
-
     /// Monoid aggregate over the vertex weights on the `u`–`v` path.
     pub fn path_aggregate(&self, u: Vertex, v: Vertex) -> Option<Agg<M>> {
         self.inner.path_aggregate(u, v)
@@ -146,6 +149,20 @@ impl<M: CommutativeMonoid> UfoForest<M> {
         self.inner.component_size(v)
     }
 
+    /// Exact heap bytes owned by the structure.
+    pub fn memory_bytes(&self) -> usize {
+        self.inner.memory_bytes()
+    }
+}
+
+/// The queries that exist only under the [`Extents`] policy.
+impl<M: CommutativeMonoid> UfoForest<M, Extents> {
+    /// Marks or unmarks `v` for nearest-marked-vertex queries.
+    pub fn set_marked(&mut self, v: Vertex, m: bool) {
+        self.inner.set_marked(v, m);
+        self.inner.settle();
+    }
+
     /// Diameter, in edges, of the component containing `v`.
     pub fn component_diameter(&self, v: Vertex) -> u64 {
         self.inner.component_diameter(v)
@@ -155,16 +172,11 @@ impl<M: CommutativeMonoid> UfoForest<M> {
     pub fn nearest_marked_distance(&self, v: Vertex) -> Option<u64> {
         self.inner.nearest_marked_distance(v)
     }
-
-    /// Exact heap bytes owned by the structure.
-    pub fn memory_bytes(&self) -> usize {
-        self.inner.memory_bytes()
-    }
 }
 
 /// The historical `i64` convenience surface, preserved for the default
 /// monoid.
-impl UfoForest<SumMinMax> {
+impl<X: Extent> UfoForest<SumMinMax, X> {
     /// Sum of vertex weights on the `u`–`v` path.
     pub fn path_sum(&self, u: Vertex, v: Vertex) -> Option<i64> {
         self.inner.path_sum(u, v)
@@ -438,7 +450,7 @@ mod tests {
 
     #[test]
     fn ufo_star_and_queries() {
-        let mut f: UfoForest = UfoForest::new(10);
+        let mut f: UfoForest<SumMinMax, Extents> = UfoForest::new(10);
         for v in 0..10 {
             f.set_weight(v, v as i64);
         }
@@ -459,7 +471,7 @@ mod tests {
     #[test]
     fn ufo_path_graph_queries() {
         let n = 50;
-        let mut f: UfoForest = UfoForest::new(n);
+        let mut f: UfoForest<SumMinMax, Extents> = UfoForest::new(n);
         for v in 0..n {
             f.set_weight(v, v as i64);
         }
@@ -541,7 +553,7 @@ mod tests {
     fn ufo_growth_on_star_hub() {
         // a star makes the hub's ancestor a high-fanout cluster; growth must
         // not disturb it even when its id gets claimed by a new leaf
-        let mut f: UfoForest = UfoForest::new(6);
+        let mut f: UfoForest<SumMinMax, Extents> = UfoForest::new(6);
         for v in 1..6 {
             assert!(f.link(0, v));
         }

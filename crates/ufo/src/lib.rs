@@ -21,6 +21,32 @@
 //! queries.  Batch updates are exposed through [`UfoForest::batch_link`] /
 //! [`UfoForest::batch_cut`], which run sequentially (see `DESIGN.md` §4 for
 //! the deviations from Algorithm 4).
+//!
+//! The second type parameter of [`UfoForest`] and [`ContractionForest`] is
+//! the [`Extent`] policy: which augmentation each cluster keeps.
+//!
+//! * [`Core`] (the default) keeps boundaries, the subtree aggregate, the
+//!   vertex count and the cluster path: enough for connectivity, path,
+//!   subtree and component queries, and all the connectivity engine and
+//!   the serving layer read.
+//! * [`Extents`] also keeps eccentricities, diameters and nearest-marked
+//!   distances.  Only it offers `component_diameter`,
+//!   `nearest_marked_distance` and `set_marked`; name it as
+//!   `UfoForest<SumMinMax, Extents>`.
+//!
+//! ```
+//! use ufo_forest::{Extents, SumMinMax, UfoForest};
+//!
+//! let mut core: UfoForest = UfoForest::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+//! core.set_weight(2, 5);
+//! assert_eq!(core.path_sum(0, 3), Some(5));
+//!
+//! let mut ext: UfoForest<SumMinMax, Extents> = UfoForest::new(4);
+//! ext.batch_link(&[(0, 1), (1, 2), (2, 3)]);
+//! ext.set_marked(0, true);
+//! assert_eq!(ext.component_diameter(3), 3);
+//! assert_eq!(ext.nearest_marked_distance(3), Some(3));
+//! ```
 
 pub mod batch;
 pub mod engine;
@@ -33,7 +59,7 @@ pub use dyntree_primitives::algebra::{
 };
 pub use engine::{ContractionForest, Policy};
 pub use forest::{TopologyForest, UfoForest};
-pub use summary::{PathAggregate, SubtreeAggregate, Summary};
+pub use summary::{Core, Extent, Extents, PathAggregate, SubtreeAggregate, Summary};
 
 /// Vertex identifier in the represented forest.
 pub type Vertex = usize;

@@ -14,7 +14,7 @@
 use dyntree_primitives::algebra::SumMinMax;
 
 use crate::engine::{narrow, AdjEntry, ContractionForest};
-use crate::summary::{Agg, CommutativeMonoid};
+use crate::summary::{Agg, CommutativeMonoid, Extent, Extents};
 use crate::{ClusterId, Vertex, INF_DIST, NIL32};
 
 /// Looks up the interior aggregate for boundary vertex `v` in a walk state.
@@ -22,7 +22,7 @@ fn lookup<M: CommutativeMonoid>(state: &[(u32, Agg<M>)], v: u32) -> Option<Agg<M
     state.iter().find(|(b, _)| *b == v).map(|(_, a)| *a)
 }
 
-impl<M: CommutativeMonoid> ContractionForest<M> {
+impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
     /// Aggregate over the vertex weights on the `u`–`v` path (both endpoints
     /// inclusive), or `None` if `u` and `v` are not connected.
     pub fn path_aggregate(&self, u: Vertex, v: Vertex) -> Option<Agg<M>> {
@@ -97,12 +97,6 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// Number of (non-phantom) vertices in the component containing `v`.
     pub fn component_size(&self, v: Vertex) -> u64 {
         self.component_aggregate(v).count
-    }
-
-    /// Diameter, in edges, of the component containing `v`.
-    pub fn component_diameter(&self, v: Vertex) -> u64 {
-        self.assert_settled();
-        self.clusters[self.top_cluster(v)].summary.diam
     }
 
     /// Aggregate over the subtree of `v` on the far side of its neighbour
@@ -200,66 +194,6 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     /// Number of vertices in the subtree of `v` away from `parent`.
     pub fn subtree_size(&self, v: Vertex, parent: Vertex) -> Option<u64> {
         self.subtree_aggregate(v, parent).map(|a| a.count)
-    }
-
-    /// Distance (in edges) from `v` to the nearest marked vertex in its
-    /// component, or `None` if no marked vertex is reachable.
-    pub fn nearest_marked_distance(&self, v: Vertex) -> Option<u64> {
-        self.assert_settled();
-        let mut best = if self.is_marked(v) { 0 } else { INF_DIST };
-        // state: distance from v to each boundary vertex of the current cluster
-        let mut state: Vec<(u32, u64)> = vec![(narrow(v), 0)];
-        let chain = self.ancestor_chain(v);
-        for w in chain.windows(2) {
-            let (c, p) = (narrow(w[0]), narrow(w[1]));
-            let internal = self.internal_edges(c, p);
-            // fold siblings into `best`
-            for e in &internal {
-                let s = e.neighbor;
-                let dist_to_attach = state
-                    .iter()
-                    .find(|(b, _)| *b == e.my_end)
-                    .map(|(_, d)| *d)
-                    .unwrap_or(INF_DIST);
-                let ssum = &self.clusters[s].summary;
-                if let Some(si) = ssum.boundary_index(e.other_end) {
-                    best = best.min(
-                        dist_to_attach
-                            .saturating_add(1)
-                            .saturating_add(ssum.near[si]),
-                    );
-                }
-                // second-hop siblings (leaves of a star hanging off this hub)
-                if self.clusters[p].fanout() > 2 && self.hub_of(p) == Some(s) {
-                    for e2 in self.internal_edges(s, p) {
-                        if e2.neighbor == c {
-                            continue;
-                        }
-                        let s2 = &self.clusters[e2.neighbor].summary;
-                        if let (Some(hi), Some(si2)) = (
-                            ssum.boundary_index(e.other_end),
-                            s2.boundary_index(e2.other_end),
-                        ) {
-                            let through = ssum.boundary_distance(ssum.boundary[hi], e2.my_end);
-                            best = best.min(
-                                dist_to_attach
-                                    .saturating_add(1)
-                                    .saturating_add(through)
-                                    .saturating_add(1)
-                                    .saturating_add(s2.near[si2]),
-                            );
-                        }
-                    }
-                }
-            }
-            // new state for the parent's boundaries
-            state = self.distance_state(c, p, &state, &internal);
-        }
-        if best >= INF_DIST {
-            None
-        } else {
-            Some(best)
-        }
     }
 
     // ------------------------------------------------------------------
@@ -377,62 +311,6 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
         agg
     }
 
-    /// Distance-only version of [`interior_state`] used by nearest-marked
-    /// queries (falls back to `INF_DIST` for unreachable boundaries).
-    fn distance_state(
-        &self,
-        c: u32,
-        p: u32,
-        state: &[(u32, u64)],
-        internal: &[AdjEntry],
-    ) -> Vec<(u32, u64)> {
-        let p_sum = &self.clusters[p].summary;
-        let c_sum = &self.clusters[c].summary;
-        let mut out = Vec::with_capacity(2);
-        for i in 0..p_sum.nbound as usize {
-            let b = p_sum.boundary[i];
-            if c_sum.boundary_index(b).is_some() {
-                if let Some((_, d)) = state.iter().find(|(x, _)| *x == b) {
-                    out.push((b, *d));
-                    continue;
-                }
-            }
-            let mut best = INF_DIST;
-            for e in internal {
-                let base = state
-                    .iter()
-                    .find(|(x, _)| *x == e.my_end)
-                    .map(|(_, d)| *d)
-                    .unwrap_or(INF_DIST);
-                let ssum = &self.clusters[e.neighbor].summary;
-                if ssum.boundary_index(b).is_some() {
-                    best = best.min(
-                        base.saturating_add(1)
-                            .saturating_add(ssum.boundary_distance(e.other_end, b)),
-                    );
-                } else {
-                    // two hops via this sibling
-                    for e2 in self.internal_edges(e.neighbor, p) {
-                        if e2.neighbor == c {
-                            continue;
-                        }
-                        let s2 = &self.clusters[e2.neighbor].summary;
-                        if s2.boundary_index(b).is_some() {
-                            best = best.min(
-                                base.saturating_add(1)
-                                    .saturating_add(ssum.boundary_distance(e.other_end, e2.my_end))
-                                    .saturating_add(1)
-                                    .saturating_add(s2.boundary_distance(e2.other_end, b)),
-                            );
-                        }
-                    }
-                }
-            }
-            out.push((b, best));
-        }
-        out
-    }
-
     /// The adjacency entry of `a` towards `b`, read from the shorter of the
     /// two lists (a hub's list is as long as its degree).
     fn edge_between(&self, a: u32, b: u32) -> Option<AdjEntry> {
@@ -512,9 +390,136 @@ impl<M: CommutativeMonoid> ContractionForest<M> {
     }
 }
 
+/// The queries that exist only under the [`Extents`] policy: they read the
+/// eccentricities, diameters and nearest-marked distances a [`Core`](crate::Core)
+/// forest does not keep.
+impl<M: CommutativeMonoid> ContractionForest<M, Extents> {
+    /// Diameter, in edges, of the component containing `v`.
+    pub fn component_diameter(&self, v: Vertex) -> u64 {
+        self.assert_settled();
+        self.clusters[self.top_cluster(v)].summary.ext.diam
+    }
+
+    /// Distance (in edges) from `v` to the nearest marked vertex in its
+    /// component, or `None` if no marked vertex is reachable.
+    pub fn nearest_marked_distance(&self, v: Vertex) -> Option<u64> {
+        self.assert_settled();
+        let mut best = if self.is_marked(v) { 0 } else { INF_DIST };
+        // state: distance from v to each boundary vertex of the current cluster
+        let mut state: Vec<(u32, u64)> = vec![(narrow(v), 0)];
+        let chain = self.ancestor_chain(v);
+        for w in chain.windows(2) {
+            let (c, p) = (narrow(w[0]), narrow(w[1]));
+            let internal = self.internal_edges(c, p);
+            // fold siblings into `best`
+            for e in &internal {
+                let s = e.neighbor;
+                let dist_to_attach = state
+                    .iter()
+                    .find(|(b, _)| *b == e.my_end)
+                    .map(|(_, d)| *d)
+                    .unwrap_or(INF_DIST);
+                let ssum = &self.clusters[s].summary;
+                if let Some(si) = ssum.boundary_index(e.other_end) {
+                    best = best.min(
+                        dist_to_attach
+                            .saturating_add(1)
+                            .saturating_add(ssum.ext.near[si]),
+                    );
+                }
+                // second-hop siblings (leaves of a star hanging off this hub)
+                if self.clusters[p].fanout() > 2 && self.hub_of(p) == Some(s) {
+                    for e2 in self.internal_edges(s, p) {
+                        if e2.neighbor == c {
+                            continue;
+                        }
+                        let s2 = &self.clusters[e2.neighbor].summary;
+                        if let (Some(hi), Some(si2)) = (
+                            ssum.boundary_index(e.other_end),
+                            s2.boundary_index(e2.other_end),
+                        ) {
+                            let through = ssum.boundary_distance(ssum.boundary[hi], e2.my_end);
+                            best = best.min(
+                                dist_to_attach
+                                    .saturating_add(1)
+                                    .saturating_add(through)
+                                    .saturating_add(1)
+                                    .saturating_add(s2.ext.near[si2]),
+                            );
+                        }
+                    }
+                }
+            }
+            // new state for the parent's boundaries
+            state = self.distance_state(c, p, &state, &internal);
+        }
+        if best >= INF_DIST {
+            None
+        } else {
+            Some(best)
+        }
+    }
+
+    /// Distance-only version of [`interior_state`] used by nearest-marked
+    /// queries (falls back to `INF_DIST` for unreachable boundaries).
+    fn distance_state(
+        &self,
+        c: u32,
+        p: u32,
+        state: &[(u32, u64)],
+        internal: &[AdjEntry],
+    ) -> Vec<(u32, u64)> {
+        let p_sum = &self.clusters[p].summary;
+        let c_sum = &self.clusters[c].summary;
+        let mut out = Vec::with_capacity(2);
+        for i in 0..p_sum.nbound as usize {
+            let b = p_sum.boundary[i];
+            if c_sum.boundary_index(b).is_some() {
+                if let Some((_, d)) = state.iter().find(|(x, _)| *x == b) {
+                    out.push((b, *d));
+                    continue;
+                }
+            }
+            let mut best = INF_DIST;
+            for e in internal {
+                let base = state
+                    .iter()
+                    .find(|(x, _)| *x == e.my_end)
+                    .map(|(_, d)| *d)
+                    .unwrap_or(INF_DIST);
+                let ssum = &self.clusters[e.neighbor].summary;
+                if ssum.boundary_index(b).is_some() {
+                    best = best.min(
+                        base.saturating_add(1)
+                            .saturating_add(ssum.boundary_distance(e.other_end, b)),
+                    );
+                } else {
+                    // two hops via this sibling
+                    for e2 in self.internal_edges(e.neighbor, p) {
+                        if e2.neighbor == c {
+                            continue;
+                        }
+                        let s2 = &self.clusters[e2.neighbor].summary;
+                        if s2.boundary_index(b).is_some() {
+                            best = best.min(
+                                base.saturating_add(1)
+                                    .saturating_add(ssum.boundary_distance(e.other_end, e2.my_end))
+                                    .saturating_add(1)
+                                    .saturating_add(s2.boundary_distance(e2.other_end, b)),
+                            );
+                        }
+                    }
+                }
+            }
+            out.push((b, best));
+        }
+        out
+    }
+}
+
 /// The historical `i64` convenience surface, preserved for the default
 /// monoid.
-impl ContractionForest<SumMinMax> {
+impl<X: Extent> ContractionForest<SumMinMax, X> {
     /// Sum of vertex weights on the `u`–`v` path.
     pub fn path_sum(&self, u: Vertex, v: Vertex) -> Option<i64> {
         self.path_aggregate(u, v).map(|a| a.sum)

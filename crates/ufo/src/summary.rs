@@ -7,6 +7,12 @@
 //! [`PathAggregate`] and [`SubtreeAggregate`] are the same type today, and
 //! `Agg`'s `Deref` to the monoid value keeps `agg.sum` / `agg.min` /
 //! `agg.max` field reads compiling unchanged.
+//!
+//! A [`Summary`] has a core part and an extent part; the [`Extent`] policy
+//! ([`Core`] by default, or [`Extents`]) decides whether a forest keeps the
+//! extent part at all (DESIGN.md §2).
+
+use std::fmt::Debug;
 
 use dyntree_primitives::algebra::SumMinMax;
 pub use dyntree_primitives::algebra::{Agg, CommutativeMonoid, Monoid};
@@ -21,8 +27,208 @@ pub type PathAggregate = Agg<SumMinMax>;
 /// the default `i64` sum/min/max monoid.
 pub type SubtreeAggregate = Agg<SumMinMax>;
 
+/// Which augmentation a forest keeps beside the core summary: the type
+/// parameter `X` of [`ContractionForest`](crate::ContractionForest) and
+/// [`UfoForest`](crate::UfoForest), and the type of [`Summary::ext`].
+///
+/// Two policies exist, and the trait is sealed:
+///
+/// * [`Core`] (the default) is zero-sized.  Clusters keep only boundaries,
+///   the subtree aggregate, the vertex count and the cluster path, which
+///   is everything connectivity, path and subtree queries read.  The
+///   extent work of the refresh compiles away, and the extent queries
+///   (`component_diameter`, `nearest_marked_distance`, `set_marked`) do
+///   not exist on such a forest.
+/// * [`Extents`] also keeps eccentricities, the diameter and the
+///   nearest-marked distances, and enables those queries.
+///
+/// Both share one refresh routine: it reads and writes the extent part
+/// through [`get`](Extent::get) / [`get_mut`](Extent::get_mut), which are
+/// `None` under [`Core`].
+pub trait Extent: sealed::Sealed + Copy + Debug + PartialEq + Send + Sync + 'static {
+    /// The extent part of a fold of pendant clusters (zero-sized under
+    /// [`Core`]).
+    type Fold: Copy + Debug + PartialEq + Send + Sync + 'static;
+    /// Whether the policy keeps extents (`false` for [`Core`]).
+    const ENABLED: bool;
+    /// The extent part of an empty cluster.
+    const EMPTY: Self;
+    /// The extent part of an empty pendant fold.
+    const EMPTY_FOLD: Self::Fold;
+    /// The extent record, if the policy keeps one.
+    fn get(&self) -> Option<&Extents>;
+    /// The extent record, mutably, if the policy keeps one.
+    fn get_mut(&mut self) -> Option<&mut Extents>;
+    /// The extent part of a pendant fold, if the policy keeps one.
+    fn fold(f: &Self::Fold) -> Option<&PendantExtents>;
+    /// The extent part of a pendant fold, mutably.
+    fn fold_mut(f: &mut Self::Fold) -> Option<&mut PendantExtents>;
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Core {}
+    impl Sealed for super::Extents {}
+}
+
+/// The core policy: no extents (zero-sized).  See [`Extent`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Core;
+
+/// The extent policy, and the extent record each cluster keeps under it.
+/// See [`Extent`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Extents {
+    /// Eccentricity (max distance in edges to any contained vertex) from each
+    /// boundary vertex.
+    pub ecc: [u64; 2],
+    /// Longest path (in edges) between two vertices contained in the cluster.
+    pub diam: u64,
+    /// Distance from each boundary vertex to the nearest marked vertex inside
+    /// the cluster (`INF_DIST` when none).
+    pub near: [u64; 2],
+}
+
+impl Extent for Core {
+    type Fold = ();
+    const ENABLED: bool = false;
+    const EMPTY: Core = Core;
+    const EMPTY_FOLD: () = ();
+    #[inline]
+    fn get(&self) -> Option<&Extents> {
+        None
+    }
+    #[inline]
+    fn get_mut(&mut self) -> Option<&mut Extents> {
+        None
+    }
+    #[inline]
+    fn fold(_: &()) -> Option<&PendantExtents> {
+        None
+    }
+    #[inline]
+    fn fold_mut(_: &mut ()) -> Option<&mut PendantExtents> {
+        None
+    }
+}
+
+impl Extent for Extents {
+    type Fold = PendantExtents;
+    const ENABLED: bool = true;
+    const EMPTY: Extents = Extents {
+        ecc: [0, 0],
+        diam: 0,
+        near: [INF_DIST, INF_DIST],
+    };
+    const EMPTY_FOLD: PendantExtents = PendantExtents {
+        diam: 0,
+        deep: [Top2::NO_DEPTH; 2],
+        near: [Top2::NO_NEAR; 2],
+    };
+    #[inline]
+    fn get(&self) -> Option<&Extents> {
+        Some(self)
+    }
+    #[inline]
+    fn get_mut(&mut self) -> Option<&mut Extents> {
+        Some(self)
+    }
+    #[inline]
+    fn fold(f: &PendantExtents) -> Option<&PendantExtents> {
+        Some(f)
+    }
+    #[inline]
+    fn fold_mut(f: &mut PendantExtents) -> Option<&mut PendantExtents> {
+        Some(f)
+    }
+}
+
+/// The extent part of a fold of pendant clusters under [`Extents`]: the
+/// largest pendant diameter, and per hub boundary the deepest pendants and
+/// the nearest marked vertices through the pendants attached there.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PendantExtents {
+    /// Largest pendant diameter.
+    pub(crate) diam: u64,
+    /// Per hub boundary index: the deepest pendants attached there (1 + the
+    /// pendant's eccentricity from its attach vertex).
+    pub(crate) deep: [Top2; 2],
+    /// Per hub boundary index: the nearest marked vertex through each
+    /// pendant attached there (1 + the pendant's nearest-marked distance
+    /// from its attach vertex).
+    pub(crate) near: [Top2; 2],
+}
+
+impl PendantExtents {
+    pub(crate) fn merge(&self, other: &PendantExtents) -> PendantExtents {
+        PendantExtents {
+            diam: self.diam.max(other.diam),
+            deep: [0, 1].map(|j| self.deep[j].merge(&other.deep[j], deeper)),
+            near: [0, 1].map(|j| self.near[j].merge(&other.near[j], nearer)),
+        }
+    }
+}
+
+/// The two best values of a pendant statistic, each with the child that
+/// produced it, so a parent can leave out the child holding one of its
+/// boundary vertices.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Top2 {
+    pub(crate) val: [u64; 2],
+    pub(crate) who: [u32; 2],
+}
+
+impl Top2 {
+    /// Empty, for depths (larger is better; a real depth is at least 1).
+    const NO_DEPTH: Top2 = Top2 {
+        val: [0, 0],
+        who: [NIL32, NIL32],
+    };
+    /// Empty, for distances (smaller is better).
+    const NO_NEAR: Top2 = Top2 {
+        val: [u64::MAX, u64::MAX],
+        who: [NIL32, NIL32],
+    };
+
+    pub(crate) fn offer(&mut self, val: u64, who: u32, better: fn(u64, u64) -> bool) {
+        if better(val, self.val[0]) {
+            self.val = [val, self.val[0]];
+            self.who = [who, self.who[0]];
+        } else if better(val, self.val[1]) {
+            self.val[1] = val;
+            self.who[1] = who;
+        }
+    }
+
+    fn merge(mut self, other: &Top2, better: fn(u64, u64) -> bool) -> Top2 {
+        for i in 0..2 {
+            if other.who[i] != NIL32 {
+                self.offer(other.val[i], other.who[i], better);
+            }
+        }
+        self
+    }
+
+    /// The best value not produced by `child` (`NIL32` excludes nothing).
+    pub(crate) fn without(&self, child: u32) -> u64 {
+        if child != NIL32 && self.who[0] == child {
+            self.val[1]
+        } else {
+            self.val[0]
+        }
+    }
+}
+
+pub(crate) fn deeper(a: u64, b: u64) -> bool {
+    a > b
+}
+
+pub(crate) fn nearer(a: u64, b: u64) -> bool {
+    a < b
+}
+
 /// The augmented values each cluster maintains, generic over the vertex
-/// weight monoid.
+/// weight monoid and the [`Extent`] policy.
 ///
 /// `boundary` holds the cluster's boundary vertices (the endpoints, inside the
 /// cluster, of its external edges).  The paper proves every cluster has at
@@ -30,7 +236,7 @@ pub type SubtreeAggregate = Agg<SumMinMax>;
 /// the engine asserts this in debug builds.  Boundary vertices are stored as
 /// narrowed `u32` ids, like every other intra-forest link (DESIGN.md §12).
 #[derive(Clone, Debug, PartialEq)]
-pub struct Summary<M: CommutativeMonoid = SumMinMax> {
+pub struct Summary<M: CommutativeMonoid = SumMinMax, X: Extent = Core> {
     /// Boundary vertices (`NIL32`-padded).
     pub boundary: [u32; 2],
     /// Number of valid entries of `boundary` (0, 1 or 2).
@@ -43,17 +249,12 @@ pub struct Summary<M: CommutativeMonoid = SumMinMax> {
     /// (identity unless `nbound == 2`); `path.edges` is the number of edges on
     /// that cluster path.
     pub path: Agg<M>,
-    /// Eccentricity (max distance in edges to any contained vertex) from each
-    /// boundary vertex.
-    pub ecc: [u64; 2],
-    /// Longest path (in edges) between two vertices contained in the cluster.
-    pub diam: u64,
-    /// Distance from each boundary vertex to the nearest marked vertex inside
-    /// the cluster (`INF_DIST` when none).
-    pub near: [u64; 2],
+    /// The extent part: zero-sized under [`Core`], eccentricities, diameter
+    /// and nearest-marked distances under [`Extents`].
+    pub ext: X,
 }
 
-impl<M: CommutativeMonoid> Summary<M> {
+impl<M: CommutativeMonoid, X: Extent> Summary<M, X> {
     /// Summary of an empty cluster (used as a starting point for folds).
     pub fn empty() -> Self {
         Summary {
@@ -62,9 +263,7 @@ impl<M: CommutativeMonoid> Summary<M> {
             sub: Agg::IDENTITY,
             vertices: 0,
             path: Agg::IDENTITY,
-            ecc: [0, 0],
-            diam: 0,
-            near: [INF_DIST, INF_DIST],
+            ext: X::EMPTY,
         }
     }
 

@@ -6,10 +6,12 @@
 //!
 //! * [`UfoForest`] — the paper's contribution: a dynamic-trees structure based
 //!   on tree contraction with unbounded fan-out merges.  Supports link/cut,
-//!   connectivity, path aggregates, subtree aggregates, diameter and
-//!   nearest-marked-vertex queries, plus sequential batch link/cut
-//!   (DESIGN.md §4).  Queries take `&self` and the forest is `Sync`, so
-//!   they can run concurrently between updates.
+//!   connectivity, path aggregates, subtree aggregates, plus sequential
+//!   batch link/cut (DESIGN.md §4); diameter and nearest-marked-vertex
+//!   queries under the opt-in [`Extents`] policy
+//!   (`UfoForest<SumMinMax, Extents>`, DESIGN.md §2).  Queries take
+//!   `&self` and the forest is `Sync`, so they can run concurrently
+//!   between updates.
 //! * [`TopologyForest`] — topology trees (pair merges + dynamic
 //!   ternarization), sharing the same contraction engine; also the
 //!   workspace's RC-tree stand-in (DESIGN.md §5.1).
@@ -59,7 +61,7 @@ pub use dyntree_serve::{
     EpochRetired, PinnedReader, ReadHandle, ServingEngine, Snapshot, UfoServingEngine, Versioned,
 };
 pub use dyntree_ternary::Ternarizer;
-pub use ufo_forest::{ContractionForest, Policy, TopologyForest, UfoForest};
+pub use ufo_forest::{ContractionForest, Extent, Extents, Policy, TopologyForest, UfoForest};
 
 pub mod capabilities;
 

@@ -8,15 +8,19 @@ use rand::{Rng, SeedableRng};
 use ufo_trees::connectivity::{DynConnectivity, GraphOp, SpanningBackend};
 use ufo_trees::seqs::TreapSequence;
 use ufo_trees::workloads::{self, SyntheticTree};
-use ufo_trees::{EulerTourForest, LinkCutForest, NaiveForest, TopologyForest, UfoForest};
+use ufo_trees::{
+    EulerTourForest, Extents, LinkCutForest, NaiveForest, SumMinMax, TopologyForest, UfoForest,
+};
 
 /// Drives all structures with `steps` random link/cut operations over `n`
 /// vertices and checks connectivity, path and subtree queries after every
-/// operation.
+/// operation.  UFO runs under both extent policies: `ufo` keeps extents and
+/// answers the diameter too, `core` answers the core queries.
 fn random_ops_agree(n: usize, steps: usize, seed: u64, check_every: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut naive: NaiveForest = NaiveForest::new(n);
-    let mut ufo: UfoForest = UfoForest::new(n);
+    let mut ufo: UfoForest<SumMinMax, Extents> = UfoForest::new(n);
+    let mut core: UfoForest = UfoForest::new(n);
     let mut topo: TopologyForest = TopologyForest::new(n);
     let mut lct: LinkCutForest = LinkCutForest::new(n);
     let mut ett = EulerTourForest::<TreapSequence>::new(n);
@@ -25,6 +29,7 @@ fn random_ops_agree(n: usize, steps: usize, seed: u64, check_every: usize) {
         let w = rng.random_range(-50..50);
         naive.set_weight(v, w);
         ufo.set_weight(v, w);
+        core.set_weight(v, w);
         topo.set_weight(v, w);
         lct.set_weight(v, w);
         ett.set_weight(v, w);
@@ -38,6 +43,7 @@ fn random_ops_agree(n: usize, steps: usize, seed: u64, check_every: usize) {
             let v = rng.random_range(0..n);
             let expected = naive.link(u, v);
             assert_eq!(ufo.link(u, v), expected, "ufo link ({u},{v}) step {step}");
+            assert_eq!(core.link(u, v), expected, "core link ({u},{v}) step {step}");
             assert_eq!(topo.link(u, v), expected, "topo link ({u},{v}) step {step}");
             assert_eq!(lct.link(u, v), expected, "lct link ({u},{v}) step {step}");
             assert_eq!(ett.link(u, v), expected, "ett link ({u},{v}) step {step}");
@@ -49,6 +55,7 @@ fn random_ops_agree(n: usize, steps: usize, seed: u64, check_every: usize) {
             let (u, v) = live_edges.swap_remove(idx);
             assert!(naive.cut(u, v));
             assert!(ufo.cut(u, v), "ufo cut ({u},{v}) step {step}");
+            assert!(core.cut(u, v), "core cut ({u},{v}) step {step}");
             assert!(topo.cut(u, v), "topo cut ({u},{v}) step {step}");
             assert!(lct.cut(u, v), "lct cut ({u},{v}) step {step}");
             assert!(ett.cut(u, v), "ett cut ({u},{v}) step {step}");
@@ -58,6 +65,9 @@ fn random_ops_agree(n: usize, steps: usize, seed: u64, check_every: usize) {
             continue;
         }
         ufo.engine().check_invariants().expect("ufo invariants");
+        core.engine()
+            .check_invariants()
+            .expect("core ufo invariants");
         topo.engine().check_invariants().expect("topo invariants");
 
         for _ in 0..8 {
@@ -89,6 +99,11 @@ fn random_ops_agree(n: usize, steps: usize, seed: u64, check_every: usize) {
                 ufo.path_sum(a, b),
                 naive.path_sum(a, b),
                 "ufo path_sum({a},{b}) step {step}"
+            );
+            assert_eq!(
+                core.path_aggregate(a, b),
+                ufo.path_aggregate(a, b),
+                "core path_aggregate({a},{b}) step {step}"
             );
             assert_eq!(
                 ufo.path_max(a, b),
@@ -164,6 +179,11 @@ fn random_ops_agree(n: usize, steps: usize, seed: u64, check_every: usize) {
                     "ufo subtree_max({u},{v}) step {step}"
                 );
                 assert_eq!(
+                    core.subtree_aggregate(u, v),
+                    ufo.subtree_aggregate(u, v),
+                    "core subtree_aggregate({u},{v}) step {step}"
+                );
+                assert_eq!(
                     ett.subtree_sum(u, v),
                     naive.subtree_sum(u, v),
                     "ett subtree({u},{v}) step {step}"
@@ -177,6 +197,11 @@ fn random_ops_agree(n: usize, steps: usize, seed: u64, check_every: usize) {
             ufo.component_size(a),
             naive.component_size(a) as u64,
             "component_size({a}) step {step}"
+        );
+        assert_eq!(
+            core.component_aggregate(a),
+            ufo.component_aggregate(a),
+            "core component_aggregate({a}) step {step}"
         );
         assert_eq!(
             ufo.component_diameter(a),
@@ -208,7 +233,7 @@ fn synthetic_families_build_and_agree() {
         let n = forest.n;
         let mut rng = StdRng::seed_from_u64(23);
         let mut naive: NaiveForest = NaiveForest::new(n);
-        let mut ufo: UfoForest = UfoForest::new(n);
+        let mut ufo: UfoForest<SumMinMax, Extents> = UfoForest::new(n);
         let mut lct: LinkCutForest = LinkCutForest::new(n);
         for v in 0..n {
             let w = rng.random_range(0..1000);
@@ -500,7 +525,7 @@ fn nearest_marked_agrees_with_oracle() {
     let tree = workloads::random_tree_degree3(n, 5);
     let mut rng = StdRng::seed_from_u64(9);
     let mut naive: NaiveForest = NaiveForest::new(n);
-    let mut ufo: UfoForest = UfoForest::new(n);
+    let mut ufo: UfoForest<SumMinMax, Extents> = UfoForest::new(n);
     for &(u, v) in &tree.edges {
         naive.link(u, v);
         ufo.link(u, v);

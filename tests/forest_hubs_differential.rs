@@ -1,14 +1,17 @@
 //! Differential tests for UFO trees on high-fan-out shapes: a star, a
 //! dandelion, a 64-ary tree and a two-hub double star, each hub carrying
 //! many fold blocks worth of leaves.  Every operation is mirrored on the
-//! naive oracle, every query family is compared after every operation, and
-//! the engine's invariants (stored summaries against a from-scratch fold,
-//! slot back-pointers, hub at slot 0, cached fold blocks) are checked
-//! periodically.
+//! naive oracle, every query family the forest's extent policy offers is
+//! compared after every operation, and the engine's invariants (stored
+//! summaries against a from-scratch fold, slot back-pointers, hub at slot 0,
+//! cached fold blocks) are checked periodically.  Each shape runs the same
+//! seeded stream twice: under the core policy (path, component and subtree
+//! queries) and under the extent policy (diameter and nearest-marked too).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ufo_trees::{NaiveForest, UfoForest};
+use ufo_trees::ufo::Core;
+use ufo_trees::{Extent, Extents, NaiveForest, SumMinMax, UfoForest};
 
 /// Leaves per hub: eight 32-child fold blocks and a partial ninth.
 const HUB: usize = 8 * 32 + 7;
@@ -73,12 +76,44 @@ fn double_star() -> Shape {
     }
 }
 
-struct Pair {
-    naive: NaiveForest,
-    ufo: UfoForest,
+/// The oracle checks an extent policy adds to the core ones.
+trait Checked: Extent {
+    /// Mirrors a mark on the forest (the oracle is marked by the caller).
+    fn set_marked(ufo: &mut UfoForest<SumMinMax, Self>, v: usize, m: bool);
+    /// Compares the extent queries at `u`.
+    fn compare(ufo: &UfoForest<SumMinMax, Self>, naive: &NaiveForest, u: usize, what: &str);
 }
 
-impl Pair {
+impl Checked for Core {
+    fn set_marked(_: &mut UfoForest<SumMinMax, Core>, _: usize, _: bool) {}
+    fn compare(_: &UfoForest<SumMinMax, Core>, _: &NaiveForest, _: usize, _: &str) {}
+}
+
+impl Checked for Extents {
+    fn set_marked(ufo: &mut UfoForest<SumMinMax, Extents>, v: usize, m: bool) {
+        ufo.set_marked(v, m);
+    }
+
+    fn compare(ufo: &UfoForest<SumMinMax, Extents>, naive: &NaiveForest, u: usize, what: &str) {
+        assert_eq!(
+            ufo.component_diameter(u),
+            naive.component_diameter(u) as u64,
+            "{what}: component_diameter({u})"
+        );
+        assert_eq!(
+            ufo.nearest_marked_distance(u),
+            naive.nearest_marked_distance(u).map(|d| d as u64),
+            "{what}: nearest_marked_distance({u})"
+        );
+    }
+}
+
+struct Pair<X: Checked> {
+    naive: NaiveForest,
+    ufo: UfoForest<SumMinMax, X>,
+}
+
+impl<X: Checked> Pair<X> {
     fn link(&mut self, u: usize, v: usize, what: &str) {
         let want = self.naive.link(u, v);
         assert_eq!(self.ufo.link(u, v), want, "{what}: link({u},{v})");
@@ -111,16 +146,7 @@ impl Pair {
                 naive.component_size(u) as u64,
                 "{what}: component_size({u})"
             );
-            assert_eq!(
-                ufo.component_diameter(u),
-                naive.component_diameter(u) as u64,
-                "{what}: component_diameter({u})"
-            );
-            assert_eq!(
-                ufo.nearest_marked_distance(u),
-                naive.nearest_marked_distance(u).map(|d| d as u64),
-                "{what}: nearest_marked_distance({u})"
-            );
+            X::compare(ufo, naive, u, what);
             // a subtree across one of u's edges, when it has one
             if let Some(&(a, b)) = shape
                 .edges
@@ -143,9 +169,9 @@ impl Pair {
     }
 }
 
-fn run(shape: Shape, seed: u64) {
+fn run<X: Checked>(shape: Shape, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut pair = Pair {
+    let mut pair = Pair::<X> {
         naive: NaiveForest::new(shape.n),
         ufo: UfoForest::new(shape.n),
     };
@@ -219,7 +245,7 @@ fn run(shape: Shape, seed: u64) {
                 };
                 let m = rng.random_bool(0.4);
                 pair.naive.set_marked(v, m);
-                pair.ufo.set_marked(v, m);
+                X::set_marked(&mut pair.ufo, v, m);
             }
             _ => {
                 // a single cut and relink at a random edge
@@ -238,20 +264,24 @@ fn run(shape: Shape, seed: u64) {
 
 #[test]
 fn star_matches_oracle() {
-    run(star(), 1);
+    run::<Core>(star(), 1);
+    run::<Extents>(star(), 1);
 }
 
 #[test]
 fn dandelion_matches_oracle() {
-    run(dandelion(), 2);
+    run::<Core>(dandelion(), 2);
+    run::<Extents>(dandelion(), 2);
 }
 
 #[test]
 fn kary64_matches_oracle() {
-    run(kary64(), 3);
+    run::<Core>(kary64(), 3);
+    run::<Extents>(kary64(), 3);
 }
 
 #[test]
 fn double_star_matches_oracle() {
-    run(double_star(), 4);
+    run::<Core>(double_star(), 4);
+    run::<Extents>(double_star(), 4);
 }

@@ -9,19 +9,22 @@
 //! summaries against a from-scratch fold, cached fold blocks) are checked.
 //! The hub legs run the same streams on a star and a dandelion, so the
 //! fold trees of a high-fan-out cluster go stale across many updates.
+//! Every leg runs under both extent policies: the core default and
+//! `Extents`, whose refresh also folds the extent records.
 
 use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ufo_trees::connectivity::DynConnectivity;
-use ufo_trees::{GraphOp, NaiveForest, UfoForest};
+use ufo_trees::ufo::Core;
+use ufo_trees::{Extent, Extents, GraphOp, NaiveForest, SumMinMax, UfoForest};
 
 /// Leaves per hub: eight 32-child fold blocks and a partial ninth.
 const HUB: usize = 8 * 32 + 7;
 
-struct Pair {
-    ufo: DynConnectivity<UfoForest>,
+struct Pair<X: Extent> {
+    ufo: DynConnectivity<UfoForest<SumMinMax, X>>,
     naive: DynConnectivity<NaiveForest>,
     /// The edges present in both, canonically oriented.
     edges: BTreeSet<(usize, usize)>,
@@ -30,7 +33,7 @@ struct Pair {
     hub: Option<usize>,
 }
 
-impl Pair {
+impl<X: Extent> Pair<X> {
     fn new(n: usize, seed: u64, hub: Option<usize>) -> Self {
         Pair {
             ufo: DynConnectivity::new(n),
@@ -144,31 +147,46 @@ impl Pair {
     }
 }
 
-#[test]
-fn random_graph_streams_match_the_oracle() {
+fn random_graph_streams<X: Extent>() {
     for seed in 0..3u64 {
-        let mut pair = Pair::new(160, 0xdefe + seed, None);
+        let mut pair = Pair::<X>::new(160, 0xdefe + seed, None);
         pair.run(6000, &format!("random seed {seed}"));
     }
 }
 
-#[test]
-fn star_hub_streams_match_the_oracle() {
+fn star_hub_streams<X: Extent>() {
     for seed in 0..2u64 {
-        let mut pair = Pair::new(HUB + 1, 0x57a + seed, Some(0));
+        let mut pair = Pair::<X>::new(HUB + 1, 0x57a + seed, Some(0));
         let star: Vec<GraphOp> = (1..=HUB).map(|v| GraphOp::InsertEdge(0, v)).collect();
         pair.apply(&star, "star build");
         pair.run(5000, &format!("star seed {seed}"));
     }
 }
 
-#[test]
-fn dandelion_hub_streams_match_the_oracle() {
+fn dandelion_hub_streams<X: Extent>() {
     let stem = 40;
     let hub = stem - 1;
-    let mut pair = Pair::new(stem + HUB, 0xda2d, Some(hub));
+    let mut pair = Pair::<X>::new(stem + HUB, 0xda2d, Some(hub));
     let mut build: Vec<GraphOp> = (0..hub).map(|i| GraphOp::InsertEdge(i, i + 1)).collect();
     build.extend((stem..stem + HUB).map(|v| GraphOp::InsertEdge(hub, v)));
     pair.apply(&build, "dandelion build");
     pair.run(5000, "dandelion");
+}
+
+#[test]
+fn random_graph_streams_match_the_oracle() {
+    random_graph_streams::<Core>();
+    random_graph_streams::<Extents>();
+}
+
+#[test]
+fn star_hub_streams_match_the_oracle() {
+    star_hub_streams::<Core>();
+    star_hub_streams::<Extents>();
+}
+
+#[test]
+fn dandelion_hub_streams_match_the_oracle() {
+    dandelion_hub_streams::<Core>();
+    dandelion_hub_streams::<Extents>();
 }
