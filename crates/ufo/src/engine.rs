@@ -89,12 +89,9 @@ pub struct Cluster<M: CommutativeMonoid = SumMinMax, X: Extent = Core> {
     /// `O(log n)`, so 16 bits hold it (`new_cluster` checks the
     /// narrowing).
     pub level: u16,
-    /// Whether the cluster is live (false for freed slots).
-    pub alive: bool,
-    /// Whether the id is queued for a summary refresh (on the dirty list or
-    /// in a level bucket of the refresh pass), so it is queued at most
-    /// once.  Clear once the forest is settled.
-    pub queued: bool,
+    /// State bits ([`ALIVE`], [`QUEUED`], [`FULL`], [`PENDING`],
+    /// [`MOVED`]), packed into one byte of the struct's padding.
+    flags: u8,
     /// Index of this cluster in `parent.children` (meaningless for roots).
     /// A cluster with fan-out ≥ 3 keeps its hub at slot 0.
     pub slot: u32,
@@ -107,13 +104,30 @@ pub struct Cluster<M: CommutativeMonoid = SumMinMax, X: Extent = Core> {
     pub summary: Summary<M, X>,
 }
 
+/// The cluster is live (clear for freed slots).
+const ALIVE: u8 = 1;
+/// The id is queued for a summary refresh, on the dirty list or in a level
+/// bucket of [`ContractionForest::settle`], so it is queued at most once.
+const QUEUED: u8 = 2;
+/// The queued refresh is full: a child list, a child's summary or a vertex's
+/// weight, phantom flag or mark changed.  A queued cluster without this bit
+/// is adjacency-only: only its neighbour list changed, so only its boundary
+/// can have moved.
+const FULL: u8 = 4;
+/// The id waits in the `pending` bucket of its level for reclustering, so it
+/// enters that bucket at most once.
+const PENDING: u8 = 8;
+/// A leaf whose vertex data changed in the running `settle`: its parent and
+/// every ancestor that keeps it as a boundary vertex read its weight
+/// directly, so they are refreshed even where their summaries do not move.
+const MOVED: u8 = 16;
+
 impl<M: CommutativeMonoid, X: Extent> Cluster<M, X> {
     /// An unlinked cluster at `level` with no children and no adjacency.
     fn unlinked(level: u16, alive: bool, summary: Summary<M, X>) -> Self {
         Cluster {
             level,
-            alive,
-            queued: false,
+            flags: if alive { ALIVE } else { 0 },
             slot: 0,
             neighbors: Vec::new(),
             children: Vec::new(),
@@ -123,6 +137,26 @@ impl<M: CommutativeMonoid, X: Extent> Cluster<M, X> {
 
     fn new_leaf(summary: Summary<M, X>) -> Self {
         Self::unlinked(0, true, summary)
+    }
+
+    /// Whether the cluster is live (false for freed slots).
+    pub fn is_alive(&self) -> bool {
+        self.has(ALIVE)
+    }
+
+    #[inline]
+    fn has(&self, bits: u8) -> bool {
+        self.flags & bits != 0
+    }
+
+    #[inline]
+    fn set(&mut self, bits: u8) {
+        self.flags |= bits;
+    }
+
+    #[inline]
+    fn clear(&mut self, bits: u8) {
+        self.flags &= !bits;
     }
 
     /// Degree of the cluster at its level.
@@ -368,6 +402,28 @@ impl<M: CommutativeMonoid, X: Extent> FoldTree<M, X> {
     }
 }
 
+/// The boundary of a cluster with adjacency list `neighbors`: the distinct
+/// `my_end`s, ascending and `NIL32`-padded, with their count.  The order does
+/// not depend on the list's order, so a `swap_remove` that reorders the list
+/// changes neither the summary nor the hub boundary a fold tree is keyed by.
+fn boundary_of(neighbors: &[AdjEntry]) -> ([u32; 2], u8) {
+    let mut b = [NIL32, NIL32];
+    let mut n = 0;
+    for e in neighbors {
+        if !b[..n].contains(&e.my_end) {
+            debug_assert!(n < 2, "a cluster has more than two boundary vertices");
+            if n < 2 {
+                b[n] = e.my_end;
+                n += 1;
+            }
+        }
+    }
+    if b[0] > b[1] {
+        b.swap(0, 1);
+    }
+    (b, n as u8)
+}
+
 /// Number of fold blocks of a cluster with `fanout` children.
 fn blocks(fanout: usize) -> usize {
     (fanout - 1).div_ceil(B)
@@ -411,7 +467,7 @@ pub struct ContractionForest<M: CommutativeMonoid = SumMinMax, X: Extent = Core>
     /// Root clusters awaiting reclustering, indexed by level.
     pending: Vec<Vec<u32>>,
     /// Clusters whose summaries must be recomputed, each id at most once
-    /// (see [`Cluster::queued`]); empty exactly when the forest is settled.
+    /// (see [`QUEUED`]); empty exactly when the forest is settled.
     dirty: Vec<u32>,
     /// Per-level buckets reused by [`settle`](Self::settle).
     flush_levels: Vec<Vec<u32>>,
@@ -478,9 +534,9 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
     /// at the end of the arena first, with every reference to it (parent's
     /// child list, children's parent pointers, adjacency mirrors) repointed.
     /// Queued summary work is settled first, because a dirty-list entry
-    /// names a cluster by id and would not follow the move.  The relocated
-    /// clusters are left queued.  Cost is O(added + relocated degrees) plus
-    /// the settle.
+    /// names a cluster by id and would not follow the move.  The parents of
+    /// the relocated clusters are left queued.  Cost is O(added + relocated
+    /// degrees) plus the settle.
     ///
     /// Panics if `n` exceeds [`MAX_VERTICES`](dyntree_primitives::ops::MAX_VERTICES)
     /// (the u32 id space), before allocating.
@@ -499,7 +555,7 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
             self.marked.resize(n, false);
         }
         for v in old..n {
-            if v < self.clusters.len() && self.clusters[v].alive {
+            if v < self.clusters.len() && self.clusters[v].is_alive() {
                 self.relocate_cluster(v);
             }
             let summary = self.leaf_summary(v);
@@ -526,8 +582,10 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
         let mut cluster = std::mem::replace(&mut self.clusters[from], dead);
         debug_assert!(cluster.level > 0, "leaves are never relocated");
         // a dirty-list entry names the old id and does not follow the move:
-        // the cluster must be queued afresh under `to`
-        cluster.queued = false;
+        // a queued cluster (the parent of one moved before it) is queued
+        // afresh under `to`
+        let queued = cluster.flags & (QUEUED | FULL);
+        cluster.clear(QUEUED | FULL);
         let parent = std::mem::replace(&mut self.parents[from], NIL32);
         if parent != NIL32 {
             self.clusters[parent].children[cluster.slot as usize] = to;
@@ -547,11 +605,19 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
                 self.folds.insert(to, tree);
             }
         }
+        let slot = cluster.slot;
         self.clusters.push(cluster);
         self.parents.push(parent);
-        // the next settle re-enters it into its parent's fold block under
-        // the new id
-        self.mark_dirty(to);
+        if queued != 0 {
+            self.queue(to, queued & FULL);
+        }
+        // the moved cluster's summary is unchanged, but its parent's child
+        // list now names `to`: the next settle re-folds its block (an
+        // extent fold records pendant ids) and refreshes the parent
+        if parent != NIL32 {
+            self.touch_slot(parent, slot);
+            self.mark_dirty(parent);
+        }
     }
 
     /// Whether the forest has no vertices.
@@ -680,7 +746,7 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
     /// work queues (`dirty`, `pending`) and the settle and recluster scratch
     /// buffers are not counted.
     pub fn memory_bytes(&self) -> usize {
-        let mut bytes = self.clusters.capacity() * std::mem::size_of::<Cluster<M>>()
+        let mut bytes = self.clusters.capacity() * std::mem::size_of::<Cluster<M, X>>()
             + self.parents.capacity() * std::mem::size_of::<u32>()
             + self.weights.capacity() * std::mem::size_of::<M::Weight>()
             + self.phantom.capacity()
@@ -696,7 +762,7 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
 
     /// Number of live clusters (leaves plus internal).
     pub fn live_clusters(&self) -> usize {
-        self.clusters.iter().filter(|c| c.alive).count()
+        self.clusters.iter().filter(|c| c.is_alive()).count()
     }
 
     // ------------------------------------------------------------------
@@ -714,8 +780,6 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
             self.push_pending(v);
         }
         self.apply_edge_all_levels(u, v, delete);
-        self.mark_dirty(u);
-        self.mark_dirty(v);
         self.recluster();
     }
 
@@ -756,13 +820,13 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
     /// adjacency entries are removed from neighbours (and from surviving
     /// ancestors at higher levels), and the slot is freed.
     fn delete_cluster(&mut self, c: u32) {
-        debug_assert!(self.clusters[c].alive && self.clusters[c].level > 0);
+        debug_assert!(self.clusters[c].is_alive() && self.clusters[c].level > 0);
         let parent = self.parents[c];
         // `c`'s own list is cleared below; the loop only edits other lists
         let mut entries = std::mem::take(&mut self.clusters[c].neighbors);
         for e in &entries {
             self.remove_adj(e.neighbor, e.other_end, e.my_end);
-            self.mark_dirty(e.neighbor);
+            self.mark_adjacency(e.neighbor);
             // the vertices of `c` leave every surviving ancestor, so the edge
             // must disappear from the levels above as well
             if parent != NIL32 {
@@ -774,10 +838,11 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
         if children.len() > B {
             self.folds.remove(&c);
         }
+        // a child's summary does not read its parent, so the children
+        // need no refresh; each one's next parent is marked when it attaches
         for &y in &children {
             self.parents[y] = NIL32;
             self.push_pending(y);
-            self.mark_dirty(y);
         }
         if parent != NIL32 {
             self.detach_child(c);
@@ -788,7 +853,7 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
         children.clear();
         debug_assert_eq!(self.parents[c], NIL32, "a freed slot has no parent");
         let cl = &mut self.clusters[c];
-        cl.alive = false;
+        cl.clear(ALIVE);
         cl.neighbors = entries;
         cl.children = children;
         self.free.push(c);
@@ -846,7 +911,7 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
         self.detach_child(child);
         self.mark_dirty(parent);
         self.push_pending(child);
-        self.mark_dirty(child);
+        self.mark_adjacency(child);
         // The child's vertices leave the parent's subtree: remove its external
         // edges from the parent's level and above (never the child's own
         // level, so its list is stable).
@@ -861,13 +926,13 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
     /// it currently connects the two ancestor chains starting at `pa` / `pb`.
     fn remove_edge_upward(&mut self, mut pa: u32, mut pb: u32, a: u32, b: u32) {
         while pa != NIL32 && pb != NIL32 && pa != pb {
-            if !self.clusters[pa].alive || !self.clusters[pb].alive {
+            if !self.clusters[pa].is_alive() || !self.clusters[pb].is_alive() {
                 break;
             }
             self.remove_adj(pa, a, b);
             self.remove_adj(pb, b, a);
-            self.mark_dirty(pa);
-            self.mark_dirty(pb);
+            self.mark_adjacency(pa);
+            self.mark_adjacency(pb);
             pa = self.parents[pa];
             pb = self.parents[pb];
         }
@@ -879,15 +944,17 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
         while pa != NIL32 && pb != NIL32 && pa != pb {
             self.add_adj(pa, pb, a, b);
             self.add_adj(pb, pa, b, a);
-            self.mark_dirty(pa);
-            self.mark_dirty(pb);
+            self.mark_adjacency(pa);
+            self.mark_adjacency(pb);
             pa = self.parents[pa];
             pb = self.parents[pb];
         }
     }
 
     /// Inserts or deletes the original edge `(u, v)` at every level where the
-    /// two endpoints' ancestors are distinct live clusters.
+    /// two endpoints' ancestors are distinct live clusters.  A leaf summary
+    /// reads no adjacency, so only the ancestors above the two leaves are
+    /// marked.
     fn apply_edge_all_levels(&mut self, u: u32, v: u32, delete: bool) {
         let mut au = u;
         let mut av = v;
@@ -901,15 +968,17 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
                 self.push_adj(au, av, u, v);
                 self.push_adj(av, au, v, u);
             }
-            self.mark_dirty(au);
-            self.mark_dirty(av);
+            if au != u {
+                self.mark_adjacency(au);
+                self.mark_adjacency(av);
+            }
             au = self.parents[au];
             av = self.parents[av];
         }
     }
 
     fn add_adj(&mut self, c: u32, nbr: u32, my_end: u32, other_end: u32) {
-        debug_assert!(self.clusters[c].alive);
+        debug_assert!(self.clusters[c].is_alive());
         if !self.clusters[c]
             .neighbors
             .iter()
@@ -928,7 +997,7 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
 
     /// Adds an adjacency entry known to be absent from `c`'s list.
     fn push_adj(&mut self, c: u32, nbr: u32, my_end: u32, other_end: u32) {
-        debug_assert!(self.clusters[c].alive);
+        debug_assert!(self.clusters[c].is_alive());
         debug_assert!(!self.clusters[c]
             .neighbors
             .iter()
@@ -956,20 +1025,48 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
         }
     }
 
+    /// Queues root `c` for reclustering in the bucket of its level, once: a
+    /// root whose [`PENDING`] bit is set already waits there.
     fn push_pending(&mut self, c: u32) {
-        let level = self.clusters[c].level as usize;
+        let cl = &mut self.clusters[c];
+        if cl.has(PENDING) {
+            return;
+        }
+        cl.set(PENDING);
+        let level = cl.level as usize;
+        #[cfg(test)]
+        tests::PENDING_PUSHES.with(|n| n.set(n.get() + 1));
         if self.pending.len() <= level {
             self.pending.resize_with(level + 1, Vec::new);
         }
         self.pending[level].push(c);
     }
 
-    /// Queues `c` for a summary refresh, once: a cluster already queued is
-    /// not pushed again, so the dirty list needs no sort or dedup.
-    pub(crate) fn mark_dirty(&mut self, c: u32) {
+    /// Queues `c` for a full summary refresh: its child list, a child's
+    /// summary or its own vertex data changed.
+    fn mark_dirty(&mut self, c: u32) {
+        #[cfg(test)]
+        tests::MARKS.with(|n| n.set((n.get().0 + 1, n.get().1)));
+        self.queue(c, FULL);
+    }
+
+    /// Queues `c` for an adjacency-only refresh: only its neighbour list
+    /// changed, so [`settle`](Self::settle) recomputes it only if its
+    /// boundary moved.
+    fn mark_adjacency(&mut self, c: u32) {
+        #[cfg(test)]
+        tests::MARKS.with(|n| n.set((n.get().0, n.get().1 + 1)));
+        self.queue(c, 0);
+    }
+
+    /// Adds `bits` to `c`'s mark and puts it on the dirty list, once: a
+    /// cluster already queued is not pushed again, so the dirty list needs
+    /// no sort or dedup.
+    fn queue(&mut self, c: u32, bits: u8) {
         let cl = &mut self.clusters[c];
-        if !cl.queued {
-            cl.queued = true;
+        cl.set(bits);
+        if !cl.has(QUEUED) {
+            cl.set(QUEUED);
             self.dirty.push(c);
         }
     }
@@ -989,9 +1086,23 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
             }
             roots.clear();
             std::mem::swap(&mut roots, &mut self.pending[level]);
-            roots.retain(|&c| self.is_unparented_root(c, level));
+            #[cfg(test)]
+            tests::count_distinct_roots(&roots);
+            // the bucket is taken, so its roots may be queued again (an
+            // entry whose slot was re-tenanted at another level leaves that
+            // tenant's bit alone); only this level's unparented roots merge
+            let (clusters, parents) = (&mut self.clusters, &self.parents);
+            roots.retain(|&c| {
+                let cl = &mut clusters[c];
+                if cl.level as usize != level {
+                    return false;
+                }
+                cl.clear(PENDING);
+                cl.is_alive() && parents[c] == NIL32
+            });
             // the merge order fixes the hierarchy's shape: process the
-            // roots in id order, whatever order they were pushed in
+            // roots in id order, whatever order they were pushed in.  A
+            // slot re-tenanted twice can leave a second entry, so dedup.
             roots.sort_unstable();
             roots.dedup();
             if roots.is_empty() {
@@ -1024,7 +1135,7 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
                 let mut nbrs = std::mem::take(&mut self.hub_nbrs);
                 nbrs.extend(self.clusters[x].neighbors.iter().map(|e| e.neighbor));
                 for &y in &nbrs {
-                    if !self.clusters[y].alive || self.clusters[y].degree() != 1 {
+                    if !self.clusters[y].is_alive() || self.clusters[y].degree() != 1 {
                         continue;
                     }
                     if self.parents[y] != NIL32 {
@@ -1059,7 +1170,7 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
                 .iter()
                 .map(|e| e.neighbor)
                 .find(|&y| {
-                    self.clusters[y].alive
+                    self.clusters[y].is_alive()
                         && self.pair_allowed(dx, self.clusters[y].degree())
                         && !self.merges(y)
                 });
@@ -1091,16 +1202,16 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
             }
             let e = self.clusters[x].neighbors[0];
             let y = e.neighbor;
-            let dy = if self.clusters[y].alive {
+            let dy = if self.clusters[y].is_alive() {
                 self.clusters[y].degree()
             } else {
                 0
             };
-            if self.clusters[y].alive && self.parents[y] != NIL32 && !self.merges(y) {
+            if self.clusters[y].is_alive() && self.parents[y] != NIL32 && !self.merges(y) {
                 let yp = self.parents[y];
                 self.delete_ancestors(yp);
                 self.attach_to_existing(x, yp);
-            } else if self.clusters[y].alive
+            } else if self.clusters[y].is_alive()
                 && self.parents[y] != NIL32
                 && dy >= 3
                 && self.policy == Policy::Ufo
@@ -1112,7 +1223,9 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
                 self.delete_ancestors(yp);
                 debug_assert_eq!(self.clusters[y].slot, 0, "a star's hub sits at slot 0");
                 self.attach_to_existing(x, yp);
-            } else if self.clusters[y].alive && self.parents[y] == NIL32 && self.pair_allowed(1, dy)
+            } else if self.clusters[y].is_alive()
+                && self.parents[y] == NIL32
+                && self.pair_allowed(1, dy)
             {
                 let p = self.new_cluster(level as u32 + 1);
                 self.attach_child(x, p);
@@ -1129,11 +1242,11 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
 
         // Populate the adjacency lists of the newly created parents.
         for &p in &new_parents {
-            if !self.clusters[p].alive {
+            if !self.clusters[p].is_alive() {
                 continue;
             }
+            // `attach_child` marked `p` already
             self.populate_parent_adjacency(p);
-            self.mark_dirty(p);
             self.push_pending(p);
         }
         new_parents.clear();
@@ -1141,7 +1254,7 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
     }
 
     fn is_unparented_root(&self, c: u32, level: usize) -> bool {
-        self.clusters[c].alive
+        self.clusters[c].is_alive()
             && self.parents[c] == NIL32
             && self.clusters[c].level as usize == level
     }
@@ -1164,8 +1277,10 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
 
     /// A fresh cluster at `level`.  A freed slot is reset in place, so its
     /// new tenant takes over the cleared `neighbors`/`children` buffers
-    /// [`delete_cluster`](Self::delete_cluster) left there.  `queued` is
-    /// kept: a slot freed mid-update may still sit on the dirty list.
+    /// [`delete_cluster`](Self::delete_cluster) left there.  The refresh
+    /// mark is kept, since a slot freed mid-update may still sit on the
+    /// dirty list; so is [`PENDING`] if the new tenant's level is the old
+    /// one, since the old entry then sits in the tenant's own bucket.
     fn new_cluster(&mut self, level: u32) -> u32 {
         assert!(
             level < u32::from(u16::MAX),
@@ -1175,9 +1290,14 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
         if let Some(id) = self.free.pop() {
             debug_assert_eq!(self.parents[id], NIL32, "a freed slot has no parent");
             let cl = &mut self.clusters[id];
-            debug_assert!(!cl.alive && cl.neighbors.is_empty() && cl.children.is_empty());
+            debug_assert!(!cl.is_alive() && cl.neighbors.is_empty() && cl.children.is_empty());
+            let keep = if cl.level == level {
+                QUEUED | FULL | PENDING
+            } else {
+                QUEUED | FULL
+            };
+            cl.flags = ALIVE | (cl.flags & keep);
             cl.level = level;
-            cl.alive = true;
             cl.slot = 0;
             cl.summary = Summary::empty();
             id
@@ -1209,7 +1329,7 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
     /// up the adjacency of `p` (and of `p`'s surviving ancestors) to account
     /// for `x`'s external edges.
     fn attach_to_existing(&mut self, x: u32, p: u32) {
-        debug_assert!(self.clusters[p].alive);
+        debug_assert!(self.clusters[p].is_alive());
         self.attach_child(x, p);
         // the edges go in at `p`'s level and above, so `x`'s list is stable
         for i in 0..self.clusters[x].neighbors.len() {
@@ -1220,7 +1340,6 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
             }
             self.add_edge_upward(p, qp, e.my_end, e.other_end);
         }
-        self.mark_dirty(p);
     }
 
     /// Builds the adjacency list of a freshly created parent from its
@@ -1240,7 +1359,7 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
                 }
                 self.add_adj(p, qp, e.my_end, e.other_end);
                 self.add_adj(qp, p, e.other_end, e.my_end);
-                self.mark_dirty(qp);
+                self.mark_adjacency(qp);
             }
         }
     }
@@ -1260,27 +1379,36 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
         );
     }
 
-    /// Recomputes the summaries of every queued cluster and of all their
-    /// ancestors, bottom-up, in one pass however many updates queued them.
-    /// Each recomputed child marks its fold block in the parent stale, so a
-    /// parent with more than `B` children re-folds only those blocks and
-    /// the fold-tree path above them.  A no-op on a settled forest.
+    /// Recomputes the summary of every queued cluster whose inputs changed,
+    /// and of every ancestor a changed summary reaches, bottom-up, in one
+    /// pass however many updates queued them.  A no-op on a settled forest.
     ///
-    /// A cluster's `queued` bit stays set from `mark_dirty` until its
-    /// summary is recomputed, and parents are queued through the
-    /// same bit, so every level bucket holds each id once.  A summary
-    /// depends only on the children's summaries, which are final before
-    /// their level is processed, so the order inside a level is free.
+    /// - An adjacency-only cluster (queued by `mark_adjacency`)
+    ///   is skipped if it is a leaf or if the boundary recomputed from its
+    ///   neighbour list equals the stored one: nothing else it reads moved.
+    /// - A recomputed summary that equals the stored one stops there: the
+    ///   parent's fold block stays valid and the parent is not queued.  The
+    ///   one exception is a boundary vertex whose weight changed, because a
+    ///   parent reads its children's boundary weights directly (`MOVED`).
+    /// - A changed summary marks its fold block in the parent stale and
+    ///   queues the parent full, so a parent with more than `B` children
+    ///   re-folds only those blocks and the fold-tree path above them.
+    ///
+    /// A cluster's `QUEUED` bit stays set from its mark until its level is
+    /// processed, and parents are queued through the same bit, so every
+    /// level bucket holds each id once.  A summary depends only on its
+    /// children's summaries, which are final before their level is
+    /// processed, so the order inside a level is free.
     pub fn settle(&mut self) {
         if self.dirty.is_empty() {
             return;
         }
-        // bucket the dirty clusters by level; each level's refreshed
-        // clusters push their parents one level up
+        // bucket the dirty clusters by level; each level's changed clusters
+        // push their parents one level up
         let mut levels = std::mem::take(&mut self.flush_levels);
         for &c in &self.dirty {
             let cl = &mut self.clusters[c];
-            if cl.alive {
+            if cl.is_alive() {
                 let l = cl.level as usize;
                 if levels.len() <= l {
                     levels.resize_with(l + 1, Vec::new);
@@ -1288,41 +1416,97 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
                 levels[l].push(c);
             } else {
                 // freed after it was queued; nothing to recompute
-                cl.queued = false;
+                cl.clear(QUEUED | FULL);
             }
         }
         self.dirty.clear();
         let mut work = std::mem::take(&mut self.flush_work);
+        // whether a leaf's vertex data changed in this pass
+        let mut moved = false;
         let mut l = 0;
         while l < levels.len() {
             std::mem::swap(&mut work, &mut levels[l]);
             for &c in &work {
-                debug_assert!(self.clusters[c].alive, "settle reached a dead cluster {c}");
+                let cl = &mut self.clusters[c];
+                debug_assert!(cl.is_alive(), "settle reached a dead cluster {c}");
+                let full = cl.has(FULL);
+                cl.clear(QUEUED | FULL);
+                if !full
+                    && (cl.children.is_empty()
+                        || boundary_of(&cl.neighbors) == (cl.summary.boundary, cl.summary.nbound))
+                {
+                    #[cfg(test)]
+                    tests::ADJ_SKIPS.with(|n| n.set(n.get() + 1));
+                    debug_assert!(
+                        self.summary_is_current(c),
+                        "adjacency-only cluster {c} skipped with a stale summary"
+                    );
+                    continue;
+                }
                 let pendants = self.pendant_fold(c);
                 let s = self.compute_summary(c, &pendants);
                 #[cfg(test)]
                 tests::SUMMARIES.with(|n| n.set(n.get() + 1));
                 let cl = &mut self.clusters[c];
+                let changed = cl.summary != s;
                 cl.summary = s;
-                cl.queued = false;
                 let (parent, slot) = (self.parents[c], cl.slot);
-                if parent != NIL32 {
+                if changed && l == 0 {
+                    cl.set(MOVED);
+                    moved = true;
+                }
+                if parent == NIL32 || !(changed || moved && self.exports_moved_vertex(c)) {
+                    continue;
+                }
+                if changed {
                     self.touch_slot(parent, slot);
-                    let pc = &mut self.clusters[parent];
-                    if !pc.queued {
-                        pc.queued = true;
-                        if levels.len() <= l + 1 {
-                            levels.resize_with(l + 2, Vec::new);
-                        }
-                        levels[l + 1].push(parent);
+                }
+                let pc = &mut self.clusters[parent];
+                pc.set(FULL);
+                if !pc.has(QUEUED) {
+                    pc.set(QUEUED);
+                    if levels.len() <= l + 1 {
+                        levels.resize_with(l + 2, Vec::new);
                     }
+                    levels[l + 1].push(parent);
                 }
             }
-            work.clear();
+            if l == 0 && moved {
+                // keep the leaves until the pass ends, to clear their bits
+                std::mem::swap(&mut work, &mut levels[0]);
+            } else {
+                work.clear();
+            }
             l += 1;
+        }
+        if moved {
+            for &v in &levels[0] {
+                self.clusters[v].clear(MOVED);
+            }
+            levels[0].clear();
         }
         self.flush_levels = levels;
         self.flush_work = work;
+    }
+
+    /// Whether a boundary vertex of `c` is a leaf whose vertex data changed
+    /// in the running settle.
+    fn exports_moved_vertex(&self, c: u32) -> bool {
+        let s = &self.clusters[c].summary;
+        s.boundary[..s.nbound as usize]
+            .iter()
+            .any(|&b| self.clusters[b].has(MOVED))
+    }
+
+    /// Whether `c`'s stored summary equals a recompute from its current
+    /// inputs.  It reads a fold tree's root as cached rather than
+    /// refreshing it, so it changes nothing (for debug checks).
+    fn summary_is_current(&self, c: u32) -> bool {
+        let pendants = match self.folds.get(&c) {
+            Some(tree) => tree.nodes[1],
+            None => self.fresh_pendant_fold(c),
+        };
+        self.compute_summary(c, &pendants) == self.clusters[c].summary
     }
 
     /// The fold of `c`'s pendant children: folded directly for at most `B`
@@ -1406,24 +1590,8 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
             // a leaf's boundary is always itself
             return self.leaf_summary(c as usize);
         }
-        // Boundaries come from the cluster's own adjacency.
-        let mut boundary = [NIL32, NIL32];
-        let mut nbound = 0usize;
-        for e in &cl.neighbors {
-            if !boundary[..nbound].contains(&e.my_end) {
-                if nbound < 2 {
-                    boundary[nbound] = e.my_end;
-                }
-                nbound += 1;
-            }
-        }
-        debug_assert!(
-            nbound <= 2,
-            "cluster {} has {} boundary vertices",
-            c,
-            nbound
-        );
-        let nbound = nbound.min(2);
+        let (boundary, nbound) = boundary_of(&cl.neighbors);
+        let nbound = nbound as usize;
 
         let hub = cl.children[0];
         let hub_sum = &self.clusters[hub].summary;
@@ -1660,12 +1828,19 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
         if !self.dirty.is_empty() || self.pending.iter().any(|b| !b.is_empty()) {
             return Err("dirty or pending work left: the forest is not settled".into());
         }
-        if let Some(id) = self.clusters.iter().position(|c| c.queued) {
-            return Err(format!("cluster {} is still queued after settling", id));
+        if let Some(id) = self
+            .clusters
+            .iter()
+            .position(|c| c.has(QUEUED | FULL | PENDING | MOVED))
+        {
+            return Err(format!(
+                "cluster {} still has a queue bit set after settling",
+                id
+            ));
         }
         for &id in &self.free {
             let c = &self.clusters[id];
-            if c.alive || !c.neighbors.is_empty() || !c.children.is_empty() {
+            if c.is_alive() || !c.neighbors.is_empty() || !c.children.is_empty() {
                 return Err(format!("freelist slot {} is live or holds entries", id));
             }
         }
@@ -1678,7 +1853,7 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
             ));
         }
         if let Some(id) = (0..self.clusters.len())
-            .find(|&id| !self.clusters[id].alive && self.parents[id] != NIL32)
+            .find(|&id| !self.clusters[id].is_alive() && self.parents[id] != NIL32)
         {
             return Err(format!("dead slot {} still has a parent", id));
         }
@@ -1716,13 +1891,13 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
         }
         // 2. parent/child consistency, level synchronisation
         for (id, c) in self.clusters.iter().enumerate() {
-            if !c.alive {
+            if !c.is_alive() {
                 continue;
             }
             let parent = self.parents[id];
             if parent != NIL32 {
                 let p = &self.clusters[parent];
-                if !p.alive {
+                if !p.is_alive() {
                     return Err(format!("cluster {} has dead parent", id));
                 }
                 if p.level != c.level + 1 {
@@ -1736,7 +1911,7 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
                 }
             }
             for &ch in &c.children {
-                if !self.clusters[ch].alive || self.parents[ch] != narrow(id) {
+                if !self.clusters[ch].is_alive() || self.parents[ch] != narrow(id) {
                     return Err(format!("child {} of {} inconsistent", ch, id));
                 }
             }
@@ -1752,17 +1927,24 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
                 }
             }
         }
-        // 2b. every stored summary equals a from-scratch fold, and every
-        //     cached fold block equals a fresh fold of its children
+        // 2b. every stored summary equals a from-scratch fold and lists two
+        //     boundary vertices in ascending order, and every cached fold
+        //     block equals a fresh fold of its children
         for (id, c) in self.clusters.iter().enumerate() {
             let id = narrow(id);
-            if c.alive && c.summary != self.compute_summary(id, &self.fresh_pendant_fold(id)) {
+            if !c.is_alive() {
+                continue;
+            }
+            if c.summary != self.compute_summary(id, &self.fresh_pendant_fold(id)) {
                 return Err(format!("cluster {} has a stale summary", id));
+            }
+            if c.summary.nbound == 2 && c.summary.boundary[0] >= c.summary.boundary[1] {
+                return Err(format!("cluster {} lists its boundary out of order", id));
             }
         }
         for (&id, tree) in &self.folds {
             let c = &self.clusters[id];
-            if !c.alive || c.children.len() <= B {
+            if !c.is_alive() || c.children.len() <= B {
                 return Err(format!("cluster {} has a fold tree it must not keep", id));
             }
             if !tree.fits(&self.clusters, &c.children) || tree.stale.iter().any(|&w| w != 0) {
@@ -1785,7 +1967,7 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
             }
         }
         for (id, c) in self.clusters.iter().enumerate() {
-            if c.alive && c.children.len() > B && !self.folds.contains_key(&narrow(id)) {
+            if c.is_alive() && c.children.len() > B && !self.folds.contains_key(&narrow(id)) {
                 return Err(format!(
                     "cluster {} has {} children but no fold tree",
                     id,
@@ -1850,7 +2032,7 @@ impl<M: CommutativeMonoid, X: Extent> ContractionForest<M, X> {
             // must correspond to a real leaf edge with v's side inside it
         }
         for (id, cl) in self.clusters.iter().enumerate() {
-            if !cl.alive {
+            if !cl.is_alive() {
                 continue;
             }
             for e in &cl.neighbors {
@@ -1945,6 +2127,29 @@ mod tests {
         /// [`ContractionForest::locate`] calls on this thread.
         pub(super) static LOCATES: std::cell::Cell<usize> =
             const { std::cell::Cell::new(0) };
+        /// Adjacency-only clusters [`ContractionForest::settle`] skipped
+        /// without a recompute on this thread.
+        pub(super) static ADJ_SKIPS: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+        /// (full, adjacency-only) refresh marks made on this thread.
+        pub(super) static MARKS: std::cell::Cell<(usize, usize)> =
+            const { std::cell::Cell::new((0, 0)) };
+        /// Roots pushed onto a `pending` bucket on this thread.
+        pub(super) static PENDING_PUSHES: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+        /// Distinct ids in the `pending` buckets `recluster` took on this
+        /// thread.
+        static PENDING_DISTINCT: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
+
+    /// Adds the distinct ids of a taken `pending` bucket to
+    /// `PENDING_DISTINCT`.
+    pub(super) fn count_distinct_roots(bucket: &[u32]) {
+        let mut ids = bucket.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        PENDING_DISTINCT.with(|n| n.set(n.get() + ids.len()));
     }
 
     /// The narrowed adjacency entry must stay at 12 bytes — this is the
@@ -1954,11 +2159,11 @@ mod tests {
         assert_eq!(std::mem::size_of::<AdjEntry>(), 12);
     }
 
-    /// The `slot` back-pointer lives in the cluster's padding, the parent
-    /// pointer in the dense array beside the slab, and the level in 16
-    /// bits.  The core summary is 104 bytes, so a core cluster is 160; the
-    /// extent record adds 40.  A core pendant fold is 48 bytes, an extent
-    /// one 152.
+    /// The `slot` back-pointer and the state bits live in the cluster's
+    /// padding, the parent pointer in the dense array beside the slab, and
+    /// the level in 16 bits.  The core summary is 104 bytes, so a core
+    /// cluster is 160; the extent record adds 40.  A core pendant fold is 48
+    /// bytes, an extent one 152.
     #[test]
     fn cluster_is_160_bytes_core_and_200_with_extents() {
         assert_eq!(std::mem::size_of::<Summary<SumMinMax>>(), 104);
@@ -2029,6 +2234,13 @@ mod tests {
         (*state >> 33) as usize
     }
 
+    /// A seeded random recursive tree on `n` vertices, as `(parent, child)`
+    /// edges.
+    fn random_tree(n: usize, seed: u64) -> Vec<(usize, usize)> {
+        let mut rng = seed;
+        (1..n).map(|v| (lcg(&mut rng) % v, v)).collect()
+    }
+
     /// Counts of one settle under policy `X`: summaries recomputed,
     /// (pendants, fold-tree nodes) re-folded, pendant adjacency lists
     /// searched, `locate` calls.
@@ -2070,8 +2282,7 @@ mod tests {
 
         fn random_counts<X: Extent>() -> [usize; 5] {
             const N: usize = 4096;
-            let mut rng = 0xad1;
-            let edges: Vec<(usize, usize)> = (1..N).map(|v| (lcg(&mut rng) % v, v)).collect();
+            let edges = random_tree(N, 0xad1);
             let mut f = ContractionForest::<SumMinMax, X>::new(N, Policy::Ufo);
             for &(u, v) in &edges {
                 assert!(f.link(u, v));
@@ -2145,7 +2356,8 @@ mod tests {
     /// A batch settles once, so a cluster on the ancestor chains of several
     /// cut edges is recomputed once rather than once per cut: 256 cuts on a
     /// seeded 8 192-vertex random recursive tree recompute strictly fewer
-    /// summaries as one `batch_cut` than settled one at a time.
+    /// summaries as one `batch_cut` than settled one at a time, and at most
+    /// 1 500.
     #[test]
     fn batch_cut_recomputes_fewer_summaries_than_single_cuts() {
         const N: usize = 8192;
@@ -2163,6 +2375,9 @@ mod tests {
         SUMMARIES.with(|n| n.set(0));
         assert_eq!(batched.batch_cut(&cuts), 256);
         let batch_count = SUMMARIES.with(|n| n.get());
+        // a cluster whose inputs did not change is not recomputed: 2 899
+        // before adjacency-only marks and the unchanged-summary cutoff
+        assert!(batch_count <= 1500, "batch_cut recomputed {batch_count}");
         SUMMARIES.with(|n| n.set(0));
         for &(u, v) in &cuts {
             assert!(single.cut(u, v));
@@ -2175,6 +2390,109 @@ mod tests {
         );
         batched.engine().check_invariants().unwrap();
         single.engine().check_invariants().unwrap();
+    }
+
+    /// Rewriting a vertex's weight with the value it has leaves its leaf
+    /// summary unchanged, so settling recomputes that one summary and stops;
+    /// a new weight still reaches every ancestor.
+    #[test]
+    fn rewriting_a_weight_recomputes_one_summary() {
+        const N: usize = 4096;
+        let mut f: ContractionForest = ContractionForest::new(N, Policy::Ufo);
+        for (u, v) in random_tree(N, 0x3e1) {
+            assert!(f.link(u, v));
+        }
+        for v in 0..N {
+            f.set_weight(v, (v % 7) as i64);
+        }
+        f.settle();
+        let v = (0..N).max_by_key(|&v| f.height(v)).unwrap();
+        SUMMARIES.with(|n| n.set(0));
+        f.set_weight(v, f.weight(v));
+        f.settle();
+        assert_eq!(SUMMARIES.with(|n| n.get()), 1);
+        SUMMARIES.with(|n| n.set(0));
+        f.set_weight(v, 100);
+        f.settle();
+        assert_eq!(SUMMARIES.with(|n| n.get()), f.height(v) + 1);
+        f.check_invariants().unwrap();
+    }
+
+    /// A parent reads the weights of its children's boundary vertices
+    /// directly.  Under a max monoid a weight change below a larger weight
+    /// leaves a cluster that keeps the vertex as a boundary with an
+    /// unchanged summary, while its parent's path through the vertex moves;
+    /// `settle` must refresh that parent anyway.
+    #[test]
+    fn boundary_weight_changes_reach_the_parents_that_read_them() {
+        use dyntree_primitives::algebra::I64Max;
+        const N: usize = 512;
+        let mut rng = 0x3a7;
+        let mut f = ContractionForest::<I64Max>::new(N, Policy::Ufo);
+        for v in 1..N {
+            assert!(f.link(v - 1, v));
+            f.set_weight(v, (lcg(&mut rng) % 100) as i64);
+        }
+        f.set_weight(0, 1_000);
+        f.settle();
+        for _ in 0..2_000 {
+            for _ in 0..1 + lcg(&mut rng) % 3 {
+                f.set_weight(1 + lcg(&mut rng) % (N - 1), (lcg(&mut rng) % 100) as i64);
+            }
+            f.settle();
+            f.check_invariants().unwrap();
+        }
+    }
+
+    /// Each root enters its level's pending bucket once: over settled
+    /// random cut+link pairs on an 8 192-vertex random tree, the pushes
+    /// equal the distinct ids the buckets held.  Prints the per-pair queue
+    /// counts DESIGN.md §2 quotes.
+    #[test]
+    fn pending_buckets_hold_each_root_once() {
+        const N: usize = 8192;
+        const PAIRS: usize = 500;
+        let edges = random_tree(N, 0x9e7d);
+        let mut f: ContractionForest = ContractionForest::new(N, Policy::Ufo);
+        for &(u, v) in &edges {
+            assert!(f.link(u, v));
+        }
+        f.settle();
+        let mut rng = 0x71;
+        PENDING_PUSHES.with(|n| n.set(0));
+        PENDING_DISTINCT.with(|n| n.set(0));
+        MARKS.with(|n| n.set((0, 0)));
+        SUMMARIES.with(|n| n.set(0));
+        ADJ_SKIPS.with(|n| n.set(0));
+        for _ in 0..PAIRS {
+            let (u, v) = edges[lcg(&mut rng) % edges.len()];
+            assert!(f.cut(u, v));
+            assert!(f.link(v, u));
+            f.settle();
+        }
+        let pushes = PENDING_PUSHES.with(|n| n.get());
+        let distinct = PENDING_DISTINCT.with(|n| n.get());
+        let (full, adjacency) = MARKS.with(|n| n.get());
+        let per_pair = |x: usize| x as f64 / PAIRS as f64;
+        println!(
+            "per cut+link pair: {:.1} pending pushes, {:.1} full and {:.1} adjacency-only marks, \
+             {:.1} summaries recomputed, {:.1} adjacency-only skips",
+            per_pair(pushes),
+            per_pair(full),
+            per_pair(adjacency),
+            per_pair(SUMMARIES.with(|n| n.get())),
+            per_pair(ADJ_SKIPS.with(|n| n.get())),
+        );
+        assert_eq!(pushes, distinct);
+        f.check_invariants().unwrap();
+    }
+
+    /// `memory_bytes` sizes the slab by the forest's own cluster layout:
+    /// 200 bytes a slot under `Extents`, not the core 160.
+    #[test]
+    fn memory_bytes_counts_the_extent_slab() {
+        let f = ContractionForest::<SumMinMax, Extents>::new(64, Policy::Ufo);
+        assert!(f.memory_bytes() >= f.clusters.capacity() * 200);
     }
 
     /// Repeatedly linking and cutting the same edges must recycle dead
@@ -2223,19 +2541,19 @@ mod tests {
         f.settle();
         f.check_invariants().unwrap();
         for &id in f.free.iter() {
-            assert!(!f.clusters[id].alive, "freelist slot {id} is alive");
+            assert!(!f.clusters[id].is_alive(), "freelist slot {id} is alive");
         }
         // And every live cluster's links point at live clusters only.
         for (c, &parent) in f.clusters.iter().zip(f.parents.iter()) {
-            if !c.alive {
+            if !c.is_alive() {
                 assert_eq!(parent, NIL32, "a dead slot has a parent");
                 continue;
             }
             if parent != NIL32 {
-                assert!(f.clusters[parent].alive);
+                assert!(f.clusters[parent].is_alive());
             }
             for &ch in &c.children {
-                assert!(f.clusters[ch].alive);
+                assert!(f.clusters[ch].is_alive());
             }
         }
     }
